@@ -109,7 +109,6 @@ main(int argc, char **argv)
         } else if (arg == "--cores") {
             cfg.cores = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));
-            cfg.hierarchy.cores = cfg.cores;
         } else if (arg == "--channels") {
             cfg.channels = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));

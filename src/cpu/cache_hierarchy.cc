@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "mem/backing_store.hh"
+#include "util/assert.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -24,6 +26,13 @@ FuncCache::FuncCache(const CacheParams &params)
     sets = num_lines / assoc;
     fatal_if(!isPowerOf2(sets), "number of sets must be a power of 2");
     lines.resize(num_lines);
+    blocks = std::make_unique_for_overwrite<DataBlock[]>(num_lines);
+}
+
+DataBlock
+FuncCache::Victim::data() const
+{
+    return neverWritten ? neverWrittenBlock(addr) : block;
 }
 
 uint64_t
@@ -42,6 +51,14 @@ uint64_t
 FuncCache::addrOf(uint64_t set, uint64_t tag) const
 {
     return (tag * sets + set) * blockBytes;
+}
+
+size_t
+FuncCache::slot(const Line &line) const
+{
+    size_t i = static_cast<size_t>(&line - lines.data());
+    OBF_DCHECK(i < lines.size(), "line of another cache");
+    return i;
 }
 
 FuncCache::Line *
@@ -72,15 +89,47 @@ FuncCache::peek(uint64_t addr) const
     return nullptr;
 }
 
+const DataBlock &
+FuncCache::data(const Line &line) const
+{
+    size_t i = slot(line);
+    if (line.neverWritten) {
+        blocks[i] = neverWrittenBlock(addrOf(i / assoc, line.tag));
+        line.neverWritten = false;
+    }
+    return blocks[i];
+}
+
+void
+FuncCache::setData(Line &line, const DataBlock &data)
+{
+    blocks[slot(line)] = data;
+    line.neverWritten = false;
+}
+
 FuncCache::Victim
-FuncCache::insert(uint64_t addr, const DataBlock &data, bool dirty,
-                  bool exclusive)
+FuncCache::victimOf(const Line &line, uint64_t addr) const
+{
+    Victim out;
+    out.valid = true;
+    out.addr = addr;
+    out.dirty = line.dirty;
+    if (line.dirty) {
+        out.neverWritten = line.neverWritten;
+        if (!line.neverWritten)
+            out.block = blocks[slot(line)];
+    }
+    return out;
+}
+
+FuncCache::Line &
+FuncCache::place(uint64_t addr, bool dirty, bool exclusive,
+                 Victim &victim_out)
 {
     if (Line *hit = find(addr)) {
-        hit->data = data;
         hit->dirty = hit->dirty || dirty;
         hit->exclusive = hit->exclusive || exclusive;
-        return {};
+        return *hit;
     }
 
     uint64_t set = setIndex(addr);
@@ -95,20 +144,31 @@ FuncCache::insert(uint64_t addr, const DataBlock &data, bool dirty,
             victim = &line;
     }
 
-    Victim out;
-    if (victim->valid) {
-        out.valid = true;
-        out.addr = addrOf(set, victim->tag);
-        out.dirty = victim->dirty;
-        out.data = victim->data;
-    }
+    if (victim->valid)
+        victim_out = victimOf(*victim, addrOf(set, victim->tag));
 
     victim->tag = tagOf(addr);
     victim->valid = true;
     victim->dirty = dirty;
     victim->exclusive = exclusive;
-    victim->data = data;
     victim->lruStamp = ++lruCounter;
+    return *victim;
+}
+
+FuncCache::Victim
+FuncCache::insert(uint64_t addr, const DataBlock &data, bool dirty,
+                  bool exclusive)
+{
+    Victim out;
+    setData(place(addr, dirty, exclusive, out), data);
+    return out;
+}
+
+FuncCache::Victim
+FuncCache::insertNeverWritten(uint64_t addr, bool dirty, bool exclusive)
+{
+    Victim out;
+    place(addr, dirty, exclusive, out).neverWritten = true;
     return out;
 }
 
@@ -120,7 +180,7 @@ FuncCache::invalidate(uint64_t addr)
     for (unsigned w = 0; w < assoc; ++w) {
         Line &line = lines[set * assoc + w];
         if (line.valid && line.tag == tag) {
-            Victim out{true, addr, line.dirty, line.data};
+            Victim out = victimOf(line, addr);
             line.valid = false;
             line.dirty = false;
             line.exclusive = false;
@@ -193,22 +253,21 @@ CacheHierarchy::store(int core, uint64_t addr, const DataBlock &data,
 }
 
 void
-CacheHierarchy::preload(int core, uint64_t addr, const DataBlock &data)
+CacheHierarchy::preload(int core, uint64_t addr)
 {
     addr = blockAlign(addr);
-    l3.insert(addr, data, false, false);
+    l3.insertNeverWritten(addr, false, false);
     DirEntry &entry = directory[addr];
     entry.sharers |= 1u << core;
     entry.exclusive = entry.sharers == (1u << core);
-    l2s[core].insert(addr, data, false, entry.exclusive);
-    l1s[core].insert(addr, data, false, entry.exclusive);
+    l2s[core].insertNeverWritten(addr, false, entry.exclusive);
+    l1s[core].insertNeverWritten(addr, false, entry.exclusive);
 }
 
 void
-CacheHierarchy::preloadShared(uint64_t addr, const DataBlock &data,
-                              bool dirty)
+CacheHierarchy::preloadShared(uint64_t addr, bool dirty)
 {
-    l3.insert(blockAlign(addr), data, dirty, false);
+    l3.insertNeverWritten(blockAlign(addr), dirty, false);
 }
 
 Cycles
@@ -235,7 +294,7 @@ CacheHierarchy::enforceCoherence(int core, uint64_t addr,
             acted = true;
             if (v.valid && v.dirty) {
                 if (auto *line = l3.find(addr)) {
-                    line->data = v.data;
+                    l3.setData(*line, v.data());
                     line->dirty = true;
                 }
             }
@@ -252,7 +311,7 @@ CacheHierarchy::enforceCoherence(int core, uint64_t addr,
             if (downgradePrivate(static_cast<int>(o), addr,
                                  dirty_data)) {
                 if (auto *line = l3.find(addr)) {
-                    line->data = dirty_data;
+                    l3.setData(*line, dirty_data);
                     line->dirty = true;
                 }
             }
@@ -282,7 +341,7 @@ CacheHierarchy::accessInternal(int core, uint64_t addr, bool is_store,
         if (!is_store || line->exclusive) {
             ++l1Hits;
             if (is_store) {
-                line->data = *store_data;
+                l1.setData(*line, *store_data);
                 line->dirty = true;
             }
             cb(when + params.l1.latencyCycles * period);
@@ -296,9 +355,7 @@ CacheHierarchy::accessInternal(int core, uint64_t addr, bool is_store,
     if (FuncCache::Line *line = l2.find(addr)) {
         if (!is_store || line->exclusive) {
             ++l2Hits;
-            DataBlock data = line->data;
-            if (is_store)
-                data = *store_data;
+            DataBlock data = is_store ? *store_data : l2.data(*line);
             // Promote into L1 (keep L2 copy: inclusive-ish).
             fillPrivate(core, addr, data, is_store || line->dirty,
                         line->exclusive, when);
@@ -323,13 +380,8 @@ CacheHierarchy::accessInternal(int core, uint64_t addr, bool is_store,
             is_store || entry.sharers == (1u << core);
         if (exclusive_grant)
             entry.exclusive = true;
-        DataBlock data = line->data;
-        bool dirty = false;
-        if (is_store) {
-            data = *store_data;
-            dirty = true;
-        }
-        fillPrivate(core, addr, data, dirty, exclusive_grant, when);
+        DataBlock data = is_store ? *store_data : l3.data(*line);
+        fillPrivate(core, addr, data, is_store, exclusive_grant, when);
         cb(when + lat * period);
         return;
     }
@@ -442,18 +494,16 @@ CacheHierarchy::fillPrivate(int core, uint64_t addr,
     if (v2.valid) {
         // L1 is inclusive in L2: drop the L1 copy too.
         FuncCache::Victim v1 = l1.invalidate(v2.addr);
-        if (v1.valid && v1.dirty) {
-            v2.data = v1.data;
-            v2.dirty = true;
-        }
+        if (v1.valid && v1.dirty)
+            v2 = v1;
         if (v2.dirty) {
             if (auto *line = l3.find(v2.addr)) {
-                line->data = v2.data;
+                l3.setData(*line, v2.data());
                 line->dirty = true;
             } else {
                 // Inclusion was broken by an L3 eviction race; push
                 // straight to memory.
-                sendWriteback(v2.addr, v2.data, when);
+                sendWriteback(v2.addr, v2.data(), when);
             }
         }
     }
@@ -461,13 +511,13 @@ CacheHierarchy::fillPrivate(int core, uint64_t addr,
     FuncCache::Victim v1 = l1.insert(addr, data, dirty, exclusive);
     if (v1.valid && v1.dirty) {
         if (auto *line = l2.find(v1.addr)) {
-            line->data = v1.data;
+            l2.setData(*line, v1.data());
             line->dirty = true;
         } else if (auto *line3 = l3.find(v1.addr)) {
-            line3->data = v1.data;
+            l3.setData(*line3, v1.data());
             line3->dirty = true;
         } else {
-            sendWriteback(v1.addr, v1.data, when);
+            sendWriteback(v1.addr, v1.data(), when);
         }
     }
 }
@@ -489,16 +539,14 @@ CacheHierarchy::fillShared(uint64_t addr, const DataBlock &data,
             FuncCache::Victim pv =
                 invalidatePrivate(static_cast<int>(o), victim.addr);
             ++invalidations;
-            if (pv.valid && pv.dirty) {
-                victim.data = pv.data;
-                victim.dirty = true;
-            }
+            if (pv.valid && pv.dirty)
+                victim = pv;
         }
         directory.erase(dir_it);
     }
 
     if (victim.dirty)
-        sendWriteback(victim.addr, victim.data, when);
+        sendWriteback(victim.addr, victim.data(), when);
 }
 
 FuncCache::Victim
@@ -522,7 +570,7 @@ CacheHierarchy::downgradePrivate(int core, uint64_t addr,
     if (FuncCache::Line *line = l1s[core].find(addr)) {
         line->exclusive = false;
         if (line->dirty) {
-            out = line->data;
+            out = l1s[core].data(*line);
             dirty = true;
             line->dirty = false;
         }
@@ -530,7 +578,7 @@ CacheHierarchy::downgradePrivate(int core, uint64_t addr,
     if (FuncCache::Line *line = l2s[core].find(addr)) {
         line->exclusive = false;
         if (line->dirty && !dirty) {
-            out = line->data;
+            out = l2s[core].data(*line);
             dirty = true;
         }
         line->dirty = false;
@@ -569,25 +617,27 @@ CacheHierarchy::flushAll(Tick when, DoneCb cb)
 {
     // Merge private dirty data into L3.
     for (unsigned c = 0; c < params.cores; ++c) {
-        auto merge_down = [this](uint64_t addr, FuncCache::Line &line) {
-            if (!line.dirty)
-                return;
-            if (auto *l3line = l3.find(addr)) {
-                l3line->data = line.data;
-                l3line->dirty = true;
-            } else {
-                fillShared(addr, line.data, true, curTick());
-            }
-            line.dirty = false;
-        };
-        l1s[c].forEachLine(merge_down);
-        l2s[c].forEachLine(merge_down);
+        for (FuncCache *cache : {&l1s[c], &l2s[c]}) {
+            cache->forEachLine([this, cache](uint64_t addr,
+                                             FuncCache::Line &line) {
+                if (!line.dirty)
+                    return;
+                const DataBlock &data = cache->data(line);
+                if (auto *l3line = l3.find(addr)) {
+                    l3.setData(*l3line, data);
+                    l3line->dirty = true;
+                } else {
+                    fillShared(addr, data, true, curTick());
+                }
+                line.dirty = false;
+            });
+        }
     }
 
     // Write back every dirty L3 line.
     l3.forEachLine([this, when](uint64_t addr, FuncCache::Line &line) {
         if (line.dirty) {
-            sendWriteback(addr, line.data, when);
+            sendWriteback(addr, l3.data(line), when);
             line.dirty = false;
         }
     });
@@ -616,29 +666,29 @@ CacheHierarchy::peekBlock(uint64_t addr, DataBlock &out) const
     for (unsigned c = 0; c < params.cores; ++c) {
         if (const auto *line = l1s[c].peek(addr)) {
             if (line->dirty) {
-                out = line->data;
+                out = l1s[c].data(*line);
                 return true;
             }
         }
         if (const auto *line = l2s[c].peek(addr)) {
             if (line->dirty) {
-                out = line->data;
+                out = l2s[c].data(*line);
                 return true;
             }
         }
     }
     for (unsigned c = 0; c < params.cores; ++c) {
         if (const auto *line = l1s[c].peek(addr)) {
-            out = line->data;
+            out = l1s[c].data(*line);
             return true;
         }
         if (const auto *line = l2s[c].peek(addr)) {
-            out = line->data;
+            out = l2s[c].data(*line);
             return true;
         }
     }
     if (const auto *line = l3.peek(addr)) {
-        out = line->data;
+        out = l3.data(*line);
         return true;
     }
     return false;

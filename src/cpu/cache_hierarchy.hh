@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -39,6 +40,7 @@ struct HierarchyParams
     CacheParams l1{32 * 1024, 8, 2};
     CacheParams l2{512 * 1024, 8, 8};
     CacheParams l3{8 * 1024 * 1024, 8, 17};
+    /** System sets this from SystemConfig::cores. */
     unsigned cores = 4;
     unsigned llcMshrs = 32;
     Cycles snoopLatencyCycles = 10;
@@ -47,27 +49,52 @@ struct HierarchyParams
 
 /**
  * A functional set-associative cache with per-line MESI-ish state.
+ *
+ * Tag, LRU and state bits live in one array and the 64 B blocks in a
+ * parallel one that is allocated without initialization, so probing
+ * a set touches no data and block pages nothing has filled are never
+ * faulted in. A line can be *never-written*: its data is then
+ * neverWrittenBlock() of its address, produced the first time data()
+ * reads it and cleared by any write.
  */
 class FuncCache
 {
   public:
+    /** Tag, replacement and coherence state of one way. */
     struct Line
     {
         uint64_t tag = 0;
+        uint64_t lruStamp = 0;
         bool valid = false;
         bool dirty = false;
         bool exclusive = false;
-        uint64_t lruStamp = 0;
-        DataBlock data{};
+        /**
+         * Data not produced yet: it is neverWrittenBlock(address).
+         * Mutable because the const data() produces it.
+         */
+        mutable bool neverWritten = false;
     };
 
-    /** Information about a line displaced by insert(). */
-    struct Victim
+    /**
+     * A line displaced by insert() or removed by invalidate(). Only a
+     * dirty victim hands out data (no caller reads a clean one's);
+     * a never-written victim's is produced only if data() is called,
+     * so a dropped victim moves no bytes.
+     */
+    class Victim
     {
+      public:
         bool valid = false;
         uint64_t addr = 0;
         bool dirty = false;
-        DataBlock data{};
+
+        /** The data of a dirty victim. */
+        DataBlock data() const;
+
+      private:
+        friend class FuncCache;
+        bool neverWritten = false;
+        DataBlock block{};
     };
 
     FuncCache(const CacheParams &params);
@@ -76,11 +103,27 @@ class FuncCache
     Line *find(uint64_t addr);
     const Line *peek(uint64_t addr) const;
 
+    /**
+     * A valid line's data. A never-written line's is produced here
+     * and kept, which changes no value the cache holds.
+     */
+    const DataBlock &data(const Line &line) const;
+
+    /** Overwrite a valid line's data. */
+    void setData(Line &line, const DataBlock &data);
+
     /** Insert a block, possibly displacing an LRU victim. */
     Victim insert(uint64_t addr, const DataBlock &data, bool dirty,
                   bool exclusive);
 
-    /** Remove a block; returns its data/dirtiness if present. */
+    /**
+     * Insert a never-written block: its data is neverWrittenBlock()
+     * of @p addr, which is produced only when read.
+     */
+    Victim insertNeverWritten(uint64_t addr, bool dirty,
+                              bool exclusive);
+
+    /** Remove a block; returns its dirtiness (and data if dirty). */
     Victim invalidate(uint64_t addr);
 
     /** Iterate every valid line (for flushes). */
@@ -94,10 +137,24 @@ class FuncCache
     uint64_t setIndex(uint64_t addr) const;
     uint64_t tagOf(uint64_t addr) const;
     uint64_t addrOf(uint64_t set, uint64_t tag) const;
+    /** Index of @p line in `lines` and of its block in `blocks`. */
+    size_t slot(const Line &line) const;
+
+    /**
+     * Find or allocate @p addr's line and set its state; the data is
+     * left to the caller. A displaced line is described in @p victim.
+     */
+    Line &place(uint64_t addr, bool dirty, bool exclusive,
+                Victim &victim);
+
+    /** Describe a line that is about to be dropped. */
+    Victim victimOf(const Line &line, uint64_t addr) const;
 
     uint64_t sets;
     unsigned assoc;
     std::vector<Line> lines;
+    /** One block per line; a slot is written before it is read. */
+    std::unique_ptr<DataBlock[]> blocks;
     uint64_t lruCounter = 0;
 };
 
@@ -134,19 +191,21 @@ class CacheHierarchy : public SimObject
     /**
      * Functionally install a clean block in a core's caches and the
      * L3 (warm-up modelling, equivalent to the paper's fast-forward
-     * phase). No timing, no memory traffic.
+     * phase). No timing, no memory traffic. Only tags are installed:
+     * the lines are never-written, so warm-up must come before any
+     * write to memory (their data is the backing store's content for
+     * a block nothing has written).
      */
-    void preload(int core, uint64_t addr, const DataBlock &data);
+    void preload(int core, uint64_t addr);
 
     /**
-     * Functionally install a block in the shared L3 only, optionally
-     * dirty — used to model the steady-state cache contents of a
-     * long-running streaming workload (dirty victims then produce
-     * writeback traffic from the start of measurement). Displaced
-     * preload victims are silently dropped.
+     * Functionally install a never-written block in the shared L3
+     * only, optionally dirty — used to model the steady-state cache
+     * contents of a long-running streaming workload (dirty victims
+     * then produce writeback traffic from the start of measurement).
+     * Displaced preload victims are silently dropped.
      */
-    void preloadShared(uint64_t addr, const DataBlock &data,
-                       bool dirty);
+    void preloadShared(uint64_t addr, bool dirty);
 
     /**
      * Write back all dirty state to memory; cb fires when every

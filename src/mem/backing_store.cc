@@ -10,6 +10,20 @@
 namespace obfusmem {
 
 DataBlock
+neverWrittenBlock(uint64_t key, uint64_t salt)
+{
+    DataBlock junk;
+    uint64_t x = key ^ salt;
+    for (auto &byte : junk) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        byte = static_cast<uint8_t>(x);
+    }
+    return junk;
+}
+
+DataBlock
 BackingStore::read(uint64_t addr) const
 {
     uint64_t key = blockAlign(addr);
@@ -17,17 +31,7 @@ BackingStore::read(uint64_t addr) const
     auto it = blocks.find(key);
     if (it != blocks.end())
         return it->second;
-
-    // Deterministic "uninitialized" fill derived from the address.
-    DataBlock junk;
-    uint64_t x = key ^ 0xdeadbeefcafef00dULL;
-    for (size_t i = 0; i < junk.size(); ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        junk[i] = static_cast<uint8_t>(x);
-    }
-    return junk;
+    return neverWrittenBlock(key);
 }
 
 void

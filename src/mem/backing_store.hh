@@ -17,6 +17,17 @@
 namespace obfusmem {
 
 /**
+ * Content of a block nothing has written yet (modelling uninitialized
+ * memory): a byte-serial xorshift stream seeded with `key ^ salt`.
+ * With the default salt it is what BackingStore::read returns for the
+ * never-written block at block-aligned address `key`, and so what a
+ * cache line warmed before any write holds. The functional ORAMs key
+ * it by logical block id under their own salt (junkDataBlock()).
+ */
+DataBlock neverWrittenBlock(uint64_t key,
+                            uint64_t salt = 0xdeadbeefcafef00dULL);
+
+/**
  * Functional backing store keyed by block address.
  */
 class BackingStore
@@ -26,7 +37,7 @@ class BackingStore
         : capacityBytes(capacity_bytes)
     {}
 
-    /** Read a block (deterministic junk if never written). */
+    /** Read a block (neverWrittenBlock() if never written). */
     DataBlock read(uint64_t addr) const;
 
     /** Write a block. */

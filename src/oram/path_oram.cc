@@ -9,6 +9,7 @@
 #include <istream>
 #include <ostream>
 
+#include "mem/backing_store.hh"
 #include "util/assert.hh"
 #include "util/logging.hh"
 #include "util/serial.hh"
@@ -18,15 +19,7 @@ namespace obfusmem {
 DataBlock
 junkDataBlock(uint64_t block_id)
 {
-    DataBlock result{};
-    uint64_t x = block_id ^ 0x0bf5ceedULL;
-    for (auto &byte : result) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        byte = static_cast<uint8_t>(x);
-    }
-    return result;
+    return neverWrittenBlock(block_id, 0x0bf5ceedULL);
 }
 
 PathOram::PathOram(const Params &params_)

@@ -198,8 +198,8 @@ MemoryEncryptionEngine::bmtWalkStep(std::shared_ptr<BmtWalk> walk)
     inner.access(std::move(pkt),
         [this, walk = std::move(walk), node_addr](MemPacket &&)
             mutable {
-            auto victim = bmtCache.insert(node_addr, DataBlock{},
-                                          false, false);
+            auto victim =
+                bmtCache.insertNeverWritten(node_addr, false, false);
             if (victim.valid && victim.dirty) {
                 ++bmtWritebacks;
                 MemPacket wb;
@@ -227,8 +227,7 @@ MemoryEncryptionEngine::bmtUpdate(uint64_t page, Tick when)
     uint64_t index = page / 4;
     for (unsigned level = 1; level < tree.levels(); ++level) {
         uint64_t node_addr = bmtNodeAddr(level, index);
-        auto victim = bmtCache.insert(node_addr, DataBlock{}, true,
-                                      false);
+        auto victim = bmtCache.insertNeverWritten(node_addr, true, false);
         if (victim.valid && victim.dirty) {
             ++bmtWritebacks;
             MemPacket wb;
@@ -291,8 +290,8 @@ MemoryEncryptionEngine::withCounter(uint64_t page, TickCont k)
             bmtVerify(page, [](Tick) {});
 
             Tick ready = curTick();
-            auto victim = counterCache.insert(ctr_addr, DataBlock{},
-                                              false, false);
+            auto victim =
+                counterCache.insertNeverWritten(ctr_addr, false, false);
             if (victim.valid && victim.dirty)
                 writebackCounter(victim.addr, ready);
             auto waiters = std::move(pendingCounterFetches[ctr_addr]);

@@ -228,6 +228,12 @@ class MemoryEncryptionEngine : public SimObject, public MemSink
     /** Block offset of each interior level in the BMT region. */
     std::vector<uint64_t> bmtLevelStart;
 
+    /**
+     * Tag-only models of the on-chip counter and BMT caches: the
+     * values live in `counters` and `tree`, nothing reads these
+     * lines' data, so they insert never-written lines and move no
+     * bytes.
+     */
     FuncCache counterCache;
     FuncCache bmtCache;
 

@@ -10,6 +10,7 @@
 #include "cpu/trace_workload.hh"
 #include "crypto/md5.hh"
 #include "trust/boot.hh"
+#include "util/assert.hh"
 #include "util/logging.hh"
 
 namespace obfusmem {
@@ -34,6 +35,11 @@ kdfChannelKey(uint64_t seed, unsigned channel)
 System::System(const SystemConfig &config)
     : cfg(config), eq(config.evqImpl), root("system", nullptr)
 {
+    // The cache directory tracks sharers in a 32-bit mask.
+    fatal_if(cfg.cores == 0 || cfg.cores > 32,
+             "cores must be 1..32, got ", cfg.cores);
+    cfg.hierarchy.cores = cfg.cores;
+
     // `eq` is declared before `root`, so its stats group attaches here
     // rather than from an init-list.
     eq.attachStats(root);
@@ -181,10 +187,14 @@ System::buildCores()
             }));
     }
 
-    // Warm up, modelling the paper's fast-forward phase. First fill
-    // the L3 with the stream blocks each core just passed (dirty at
-    // the store fraction, so steady-state writeback traffic starts
-    // immediately)...
+    // Warm up, modelling the paper's fast-forward phase. Warm lines
+    // are never-written: their data is the store's content for a
+    // block nothing has written, which is exact only while the store
+    // is empty. First fill the L3 with the stream blocks each core
+    // just passed (dirty at the store fraction, so steady-state
+    // writeback traffic starts immediately)...
+    OBF_ASSERT(store->blocksAllocated() == 0,
+               "cache warm-up after a write to memory");
     uint64_t l3_blocks = cfg.hierarchy.l3.sizeBytes / blockBytes;
     uint64_t per_core = (l3_blocks * 9 / 10) / cfg.cores;
     Random warm_rng(cfg.seed ^ 0x3a3a3a3aULL);
@@ -200,7 +210,7 @@ System::buildCores()
             uint64_t addr =
                 probe.streamRegionBase() + block * blockBytes;
             bool dirty = warm_rng.chance(profile.storeFraction);
-            caches->preloadShared(addr, store->read(addr), dirty);
+            caches->preloadShared(addr, dirty);
         }
     }
 
@@ -209,8 +219,7 @@ System::buildCores()
         uint64_t base = cfg.workloadBase(c);
         for (uint64_t off = 0; off < profile.hotBytes;
              off += blockBytes) {
-            caches->preload(static_cast<int>(c), base + off,
-                            store->read(base + off));
+            caches->preload(static_cast<int>(c), base + off);
         }
     }
 }

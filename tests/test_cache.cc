@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "cpu/cache_hierarchy.hh"
+#include "mem/backing_store.hh"
+#include "util/random.hh"
 
 using namespace obfusmem;
 
@@ -102,7 +104,7 @@ TEST(FuncCache, InsertFindInvalidate)
     cache.insert(0x100, data, true, false);
     auto *line = cache.find(0x100);
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->data[0], 7);
+    EXPECT_EQ(cache.data(*line)[0], 7);
     EXPECT_TRUE(line->dirty);
 
     auto victim = cache.invalidate(0x100);
@@ -137,9 +139,91 @@ TEST(FuncCache, InsertMergesOnHit)
     auto victim = cache.insert(0x40, b, true, true);
     EXPECT_FALSE(victim.valid);
     auto *line = cache.find(0x40);
-    EXPECT_EQ(line->data[0], 2);
+    EXPECT_EQ(cache.data(*line)[0], 2);
     EXPECT_TRUE(line->dirty);
     EXPECT_TRUE(line->exclusive);
+}
+
+TEST(FuncCache, NeverWrittenLinesMatchAnEagerTwin)
+{
+    // A seeded mix of inserts (some never-written), finds (some
+    // writing, as a store hit does) and invalidations, replayed on a
+    // twin that inserts the never-written bytes eagerly. 4 sets x 4
+    // ways over 48 blocks, so most inserts displace a victim.
+    const CacheParams params{1024, 4, 1};
+    FuncCache lazy(params);
+    FuncCache eager(params);
+    Random rng(2024);
+    auto random_block = [&rng]() {
+        DataBlock d;
+        rng.fillBytes(d.data(), d.size());
+        return d;
+    };
+    auto same_victim = [](const FuncCache::Victim &l,
+                          const FuncCache::Victim &e) {
+        ASSERT_EQ(l.valid, e.valid);
+        if (!l.valid)
+            return;
+        EXPECT_EQ(l.addr, e.addr);
+        ASSERT_EQ(l.dirty, e.dirty);
+        if (l.dirty) {
+            EXPECT_EQ(l.data(), e.data());
+        }
+    };
+    auto same_line = [&](uint64_t addr) {
+        const FuncCache::Line *l = lazy.peek(addr);
+        const FuncCache::Line *e = eager.peek(addr);
+        ASSERT_EQ(l == nullptr, e == nullptr) << addr;
+        if (!l)
+            return;
+        EXPECT_EQ(l->dirty, e->dirty);
+        EXPECT_EQ(l->exclusive, e->exclusive);
+        EXPECT_EQ(lazy.data(*l), eager.data(*e)) << addr;
+    };
+
+    uint64_t victims = 0;
+    for (int op = 0; op < 20000; ++op) {
+        uint64_t addr = 0x40000 + rng.randUnder(48) * blockBytes;
+        bool dirty = rng.chance(0.3);
+        bool exclusive = rng.chance(0.5);
+        switch (rng.randUnder(5)) {
+          case 0: {
+            auto v = lazy.insertNeverWritten(addr, dirty, exclusive);
+            victims += v.valid;
+            same_victim(v, eager.insert(addr, neverWrittenBlock(addr),
+                                        dirty, exclusive));
+            break;
+          }
+          case 1: {
+            DataBlock d = random_block();
+            auto v = lazy.insert(addr, d, dirty, exclusive);
+            victims += v.valid;
+            same_victim(v, eager.insert(addr, d, dirty, exclusive));
+            break;
+          }
+          case 2: {
+            FuncCache::Line *l = lazy.find(addr);
+            FuncCache::Line *e = eager.find(addr);
+            ASSERT_EQ(l == nullptr, e == nullptr);
+            if (l && rng.chance(0.5)) {
+                DataBlock d = random_block();
+                lazy.setData(*l, d);
+                eager.setData(*e, d);
+                l->dirty = e->dirty = true;
+            }
+            break;
+          }
+          case 3:
+            same_victim(lazy.invalidate(addr), eager.invalidate(addr));
+            break;
+          default:
+            same_line(addr);
+            break;
+        }
+    }
+    EXPECT_GT(victims, 1000u);
+    for (uint64_t b = 0; b < 48; ++b)
+        same_line(0x40000 + b * blockBytes);
 }
 
 TEST_F(CacheFixture, MissGoesToMemoryHitDoesNot)
@@ -242,15 +326,13 @@ TEST_F(CacheFixture, WouldMissProbe)
 
 TEST_F(CacheFixture, PreloadAvoidsMemoryTraffic)
 {
-    DataBlock data{};
-    data[0] = 0x77;
-    caches.preload(0, 0xa000, data);
+    caches.preload(0, 0xa000);
     EXPECT_EQ(mem.reads, 0u);
     load(0, 0xa000);
     EXPECT_EQ(mem.reads, 0u);
     DataBlock out{};
     EXPECT_TRUE(caches.peekBlock(0xa000, out));
-    EXPECT_EQ(out[0], 0x77);
+    EXPECT_EQ(out, neverWrittenBlock(0xa000));
 }
 
 TEST_F(CacheFixture, PreloadSharedDirtyProducesWriteback)
@@ -259,13 +341,15 @@ TEST_F(CacheFixture, PreloadSharedDirtyProducesWriteback)
     // eviction with demand fills to the same set.
     uint64_t l3_sets = (params.l3.sizeBytes / 64) / params.l3.assoc;
     uint64_t set_stride = l3_sets * 64;
-    DataBlock data{};
     for (unsigned w = 0; w < params.l3.assoc; ++w)
-        caches.preloadShared(w * set_stride, data, true);
+        caches.preloadShared(w * set_stride, true);
     load(0, params.l3.assoc * set_stride);
     eq.run();
     EXPECT_GE(mem.writes, 1u);
     EXPECT_EQ(stats.scalarValue("caches.writebacks"), mem.writes);
+    // The written-back victim carries its never-written content.
+    for (const auto &[addr, data] : mem.contents)
+        EXPECT_EQ(data, neverWrittenBlock(addr));
 }
 
 TEST_F(CacheFixture, StreamingEvictsCleanlyWithoutWrites)

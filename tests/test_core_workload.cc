@@ -173,7 +173,7 @@ runCore(const std::string &bench, Tick mem_latency,
     WorkloadGenerator gen(prof, 0, 1ull << 30, 23);
     // Warm the hot working set, as the System does.
     for (uint64_t off = 0; off < prof.hotBytes; off += 64)
-        caches.preload(0, off, DataBlock{});
+        caches.preload(0, off);
     Tick finish = 0;
     TraceCore core("core", eq, &stats, TraceCore::Params{},
                    std::move(gen), caches, 0, instrs,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "system/system.hh"
 
@@ -190,6 +191,75 @@ TEST(SystemInvariants, SeedChangesChangeTiming)
     cfg.seed = 1234;
     System b(cfg);
     EXPECT_NE(a.run().execTicks, b.run().execTicks);
+}
+
+TEST(SystemWarmup, WarmedBlocksReadAsNeverWrittenMemory)
+{
+    // Warm-up models a fast-forward before anything was written, so
+    // every warmed block must read as untouched memory, both from the
+    // caches and, once the flush has written the dirty ones back,
+    // from memory.
+    SystemConfig cfg = quickConfig(ProtectionMode::Unprotected);
+    System sys(cfg);
+    const BackingStore fresh(cfg.capacityBytes);
+    const BenchmarkProfile &profile =
+        BenchmarkProfile::byName(cfg.benchmark);
+
+    // The blocks System::buildCores warms: each core's hot set, and
+    // the stream blocks the core just passed.
+    std::vector<uint64_t> warmed;
+    uint64_t per_core =
+        (cfg.hierarchy.l3.sizeBytes / blockBytes * 9 / 10) / cfg.cores;
+    for (unsigned c = 0; c < cfg.cores; ++c) {
+        for (uint64_t off = 0; off < profile.hotBytes; off += blockBytes)
+            warmed.push_back(cfg.workloadBase(c) + off);
+        WorkloadGenerator probe(profile, cfg.workloadBase(c),
+                                cfg.workloadRegionBytes(),
+                                cfg.seed * 1000003 + c);
+        uint64_t region = probe.streamRegionBlocks();
+        for (uint64_t i = 1; i <= per_core; ++i) {
+            uint64_t block =
+                (probe.streamStartBlock() + region - i) % region;
+            warmed.push_back(probe.streamRegionBase()
+                             + block * blockBytes);
+        }
+    }
+    for (uint64_t addr : warmed)
+        ASSERT_EQ(sys.functionalRead(addr), fresh.read(addr)) << addr;
+
+    sys.flushAndDrain();
+    const BackingStore &store = sys.backingStore();
+    size_t written = 0;
+    for (uint64_t addr : warmed) {
+        if (store.populated(addr)) {
+            ++written;
+            ASSERT_EQ(store.read(addr), fresh.read(addr)) << addr;
+        }
+        ASSERT_EQ(sys.functionalRead(addr), fresh.read(addr)) << addr;
+    }
+    EXPECT_GT(written, 0u);
+    EXPECT_EQ(written, store.blocksAllocated());
+}
+
+TEST(SystemConfig, CoreCountSizesTheHierarchy)
+{
+    SystemConfig cfg = quickConfig(ProtectionMode::Unprotected);
+    cfg.cores = 5;
+    System sys(cfg);
+    EXPECT_EQ(sys.hierarchy().numCores(), 5u);
+    EXPECT_EQ(sys.run().instructions, 5 * cfg.instrPerCore);
+}
+
+TEST(SystemConfigDeathTest, RejectsCoreCountsTheDirectoryCannotTrack)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SystemConfig cfg = quickConfig(ProtectionMode::Unprotected);
+    cfg.cores = 0;
+    EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
+                "cores must be 1..32, got 0");
+    cfg.cores = 33;
+    EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
+                "cores must be 1..32, got 33");
 }
 
 TEST(SystemConfig, MemoryLayoutRegionsDisjoint)
