@@ -17,9 +17,12 @@
  * timing); the figure of merit is groups/second and the batch/scalar
  * ratio, emitted as a `speedup_x` JSONL row. The run fails (exit 1)
  * when the request-group speedup drops below
- * OBFUSMEM_PIPELINE_MIN_SPEEDUP (default 5; 0 disables the gate) —
- * this is the CI tripwire for regressions that serialize the batch
- * pipeline back into per-message work.
+ * OBFUSMEM_PIPELINE_MIN_SPEEDUP (default 1.6, 80% of the ~2x the
+ * quick preset measures; 0 disables the gate) — this is the CI
+ * tripwire for regressions that serialize the batch pipeline back
+ * into per-message work, which would bring the ratio to ~1x. The
+ * scalar leg's MACs run through the one-block MD5 kernel, so the
+ * ratio measures the batch pipeline against a fast per-message path.
  */
 
 #include <algorithm>
@@ -252,7 +255,7 @@ main()
                    "request-groups", groups, speedup, batchMs);
 
     const double minSpeedup =
-        env::f64("OBFUSMEM_PIPELINE_MIN_SPEEDUP", 5.0);
+        env::f64("OBFUSMEM_PIPELINE_MIN_SPEEDUP", 1.6);
     if (minSpeedup > 0 && speedup < minSpeedup) {
         std::fprintf(stderr,
                      "FAIL: %.2fx below the %.1fx floor "

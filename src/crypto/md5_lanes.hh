@@ -16,6 +16,12 @@
  * each of the 4 state words) is one contiguous, directly loadable
  * 32-byte vector.
  *
+ * Messages that do not fill a wide group go one at a time through a
+ * scalar one-block kernel: the 64 steps spelled out with literal
+ * round functions, message indices and rotates, and no Md5 context.
+ * The bus MAC's r|a|c preimage has its own entry (md5Rac) that packs
+ * the five message words straight from its fields.
+ *
  * Bit-identical to Md5::digest per message by construction; the tests
  * pin every lane against the scalar context.
  */
@@ -26,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "crypto/bytes.hh"
 #include "crypto/md5.hh"
 #include "util/secret.hh"
 
@@ -45,13 +52,36 @@ constexpr size_t md5ShortMax = 55;
  * One-shot MD5 digests for `n` equal-length short messages
  * (`len <= md5ShortMax`), packed `stride` bytes apart starting at
  * `msgs`. Dispatches to the widest kernel the build and the running
- * CPU allow — AVX-512 16-lane, then AVX2 8-lane, then the scalar Md5
- * context (override with OBFUSMEM_MD5_LANES=avx512|avx2|scalar; a
- * forced avx512 run still drains sub-group tails through the
+ * CPU allow — AVX-512 16-lane, then AVX2 8-lane, then the scalar
+ * one-block kernel (override with OBFUSMEM_MD5_LANES=avx512|avx2|scalar;
+ * a forced avx512 run still drains sub-group tails through the
  * narrower kernels). Output digests are bit-identical on every path.
  */
 void md5ShortBatch(const uint8_t *msgs, size_t stride, size_t len,
                    size_t n, OBF_SECRET Md5Digest *out);
+
+/**
+ * Bytes in the bus-MAC preimage H(r | a | c) (paper Sec. 3.5): the
+ * request-type byte r, then the address a and the counter c as
+ * little-endian 64-bit words.
+ */
+constexpr size_t md5RacLen = 17;
+
+/** Write the r|a|c preimage into `out[md5RacLen]`. */
+inline void
+md5PackRac(uint8_t r, uint64_t a, uint64_t c, uint8_t *out)
+{
+    out[0] = r;
+    storeLe64(out + 1, a);
+    storeLe64(out + 9, c);
+}
+
+/**
+ * MD5 of one r|a|c preimage through the scalar one-block kernel,
+ * equal to Md5::digest of md5PackRac's bytes. The message words come
+ * straight from the three fields; the padding words are constants.
+ */
+OBF_SECRET Md5Digest md5Rac(uint8_t r, uint64_t a, uint64_t c);
 
 /** True when the AVX2 kernel is compiled in and the CPU runs it. */
 bool md5LanesAvailable();

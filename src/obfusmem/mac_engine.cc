@@ -14,16 +14,11 @@ namespace obfusmem {
 
 namespace {
 
-/** The MAC preimage: H(r | a | c) per the paper. */
-constexpr size_t macMsgLen = 17;
-
-void
-packMacMessage(const WireHeader &hdr, uint64_t counter,
-               uint8_t buf[macMsgLen])
+/** The request-type byte r of the MAC preimage H(r | a | c). */
+uint8_t
+macType(const WireHeader &hdr)
 {
-    buf[0] = hdr.cmd == MemCmd::Write ? 1 : 0;
-    crypto::storeLe64(buf + 1, hdr.addr);
-    crypto::storeLe64(buf + 9, counter);
+    return hdr.cmd == MemCmd::Write ? 1 : 0;
 }
 
 } // namespace
@@ -31,9 +26,7 @@ packMacMessage(const WireHeader &hdr, uint64_t counter,
 crypto::Md5Digest
 MacEngine::compute(const WireHeader &hdr, uint64_t counter) const
 {
-    uint8_t buf[macMsgLen];
-    packMacMessage(hdr, counter, buf);
-    return crypto::Md5::digest(buf, sizeof(buf));
+    return crypto::md5Rac(macType(hdr), hdr.addr, counter);
 }
 
 void
@@ -42,21 +35,25 @@ MacEngine::computeBatch(const WireHeader *hdrs,
                         crypto::Md5Digest *out, size_t n) const
 {
     // Pack the preimages contiguously and hand the whole batch to the
-    // MD5 lanes: eight tags per AVX2 compression instead of one scalar
-    // digest per message. Groups are small (2 messages), so the win
-    // comes from the BurstBatch pipeline flushing many groups at once.
+    // MD5 lanes: eight or sixteen tags per wide compression, and the
+    // sub-group tail (all of a lone 2-message group) through the
+    // one-block kernel. The win from the lanes comes from the
+    // BurstBatch pipeline flushing many groups at once.
+    using crypto::md5RacLen;
     constexpr size_t maxStack = 64;
     if (n <= maxStack) {
-        uint8_t msgs[maxStack * macMsgLen];
+        uint8_t msgs[maxStack * md5RacLen];
         for (size_t i = 0; i < n; ++i)
-            packMacMessage(hdrs[i], counters[i], msgs + i * macMsgLen);
-        crypto::md5ShortBatch(msgs, macMsgLen, macMsgLen, n, out);
+            crypto::md5PackRac(macType(hdrs[i]), hdrs[i].addr,
+                               counters[i], msgs + i * md5RacLen);
+        crypto::md5ShortBatch(msgs, md5RacLen, md5RacLen, n, out);
         return;
     }
-    std::vector<uint8_t> msgs(n * macMsgLen);
+    std::vector<uint8_t> msgs(n * md5RacLen);
     for (size_t i = 0; i < n; ++i)
-        packMacMessage(hdrs[i], counters[i], msgs.data() + i * macMsgLen);
-    crypto::md5ShortBatch(msgs.data(), macMsgLen, macMsgLen, n, out);
+        crypto::md5PackRac(macType(hdrs[i]), hdrs[i].addr, counters[i],
+                           msgs.data() + i * md5RacLen);
+    crypto::md5ShortBatch(msgs.data(), md5RacLen, md5RacLen, n, out);
 }
 
 bool

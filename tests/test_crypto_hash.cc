@@ -250,6 +250,34 @@ TEST(Md5Lanes, EveryShortLength)
     }
 }
 
+TEST(Md5Lanes, RacDigestMatchesThePackedPreimage)
+{
+    // md5Rac packs its message words straight from r, a and c; it must
+    // hash exactly the bytes md5PackRac lays out, whose layout is
+    // pinned here byte by byte.
+    const uint64_t values[] = {0, ~0ull, 0x0102030405060708ull,
+                               0xff00000000000000ull, 0xffull,
+                               0x00000000ff000000ull};
+    for (unsigned r : {0u, 1u, 0x80u, 0xffu}) {
+        for (uint64_t a : values) {
+            for (uint64_t c : values) {
+                uint8_t packed[md5RacLen];
+                md5PackRac(static_cast<uint8_t>(r), a, c, packed);
+                EXPECT_EQ(packed[0], r);
+                for (int i = 0; i < 8; ++i) {
+                    EXPECT_EQ(packed[1 + i],
+                              static_cast<uint8_t>(a >> (8 * i)));
+                    EXPECT_EQ(packed[9 + i],
+                              static_cast<uint8_t>(c >> (8 * i)));
+                }
+                EXPECT_EQ(md5Rac(static_cast<uint8_t>(r), a, c),
+                          Md5::digest(packed, sizeof(packed)))
+                    << r << " " << a << " " << c;
+            }
+        }
+    }
+}
+
 TEST(Md5Lanes, AvailabilityIsConsistent)
 {
     // md5LanesAvailable() promises a wide kernel; the compiled-in

@@ -176,6 +176,146 @@ TEST(MacEngine, DetectsCounterSkewFromDropOrReplay)
     EXPECT_FALSE(mac.verify(hdr, 71, tag)); // replay
 }
 
+namespace {
+
+/** Md5::digest of the r|a|c preimage, packed here byte by byte. */
+Md5Digest
+oracleMac(const WireHeader &hdr, uint64_t counter)
+{
+    uint8_t buf[17];
+    buf[0] = hdr.cmd == MemCmd::Write ? 1 : 0;
+    for (int i = 0; i < 8; ++i) {
+        buf[1 + i] = static_cast<uint8_t>(hdr.addr >> (8 * i));
+        buf[9 + i] = static_cast<uint8_t>(counter >> (8 * i));
+    }
+    return Md5::digest(buf, sizeof(buf));
+}
+
+struct MacCase
+{
+    WireHeader hdr;
+    uint64_t counter;
+};
+
+/**
+ * Edge headers and counters (read and write; 0, all-ones, and one
+ * marked byte at each position, so every byte of the 17-byte preimage
+ * takes a turn on each side of a packed-word boundary), then seeded
+ * random ones.
+ */
+std::vector<MacCase>
+macCases()
+{
+    std::vector<uint64_t> values = {0, ~0ull, 1, 0x0102030405060708ull};
+    for (int b = 0; b < 8; ++b) {
+        values.push_back(0xa5ull << (8 * b));
+        values.push_back(~(0xffull << (8 * b)));
+    }
+    std::vector<MacCase> cases;
+    for (MemCmd cmd : {MemCmd::Read, MemCmd::Write}) {
+        for (uint64_t addr : values) {
+            for (uint64_t ctr : values) {
+                MacCase mc{};
+                mc.hdr.cmd = cmd;
+                mc.hdr.addr = addr;
+                mc.counter = ctr;
+                cases.push_back(mc);
+            }
+        }
+    }
+    Random rng(1414);
+    for (int i = 0; i < 256; ++i) {
+        MacCase mc{};
+        mc.hdr.cmd = rng.chance(0.5) ? MemCmd::Write : MemCmd::Read;
+        mc.hdr.addr = rng.next();
+        mc.counter = rng.next();
+        cases.push_back(mc);
+    }
+    return cases;
+}
+
+/** Run computeBatch over `n` cases starting at `first`. */
+std::vector<Md5Digest>
+batchMacs(const MacEngine &mac, const MacCase *first, size_t n)
+{
+    std::vector<WireHeader> hdrs(n);
+    std::vector<uint64_t> ctrs(n);
+    for (size_t i = 0; i < n; ++i) {
+        hdrs[i] = first[i].hdr;
+        ctrs[i] = first[i].counter;
+    }
+    std::vector<Md5Digest> out(n);
+    mac.computeBatch(hdrs.data(), ctrs.data(), out.data(), n);
+    return out;
+}
+
+} // namespace
+
+TEST(MacEngine, EveryPathMatchesTheMd5Oracle)
+{
+    // compute, verify and computeBatch all reach MD5 through the
+    // short-message lanes; each must equal Md5::digest of the packed
+    // preimage on every edge value and random case.
+    MacEngine mac(MacEngine::Params{});
+    const std::vector<MacCase> cases = macCases();
+    const std::vector<Md5Digest> batch =
+        batchMacs(mac, cases.data(), cases.size());
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const MacCase &mc = cases[i];
+        const Md5Digest want = oracleMac(mc.hdr, mc.counter);
+        EXPECT_EQ(mac.compute(mc.hdr, mc.counter), want) << i;
+        EXPECT_TRUE(mac.verify(mc.hdr, mc.counter, want)) << i;
+        EXPECT_EQ(batch[i], want) << i;
+    }
+}
+
+TEST(MacEngine, BatchMatchesComputeAtEverySize)
+{
+    // Sizes 0..40 cross the 8-, 16- and 32-lane group boundaries and
+    // every tail length between them. Each size starts at a different
+    // case so the sizes do not share their messages.
+    MacEngine mac(MacEngine::Params{});
+    const std::vector<MacCase> cases = macCases();
+    for (size_t n = 0; n <= 40; ++n) {
+        const MacCase *first = cases.data() + cases.size() - 41 - n;
+        const std::vector<Md5Digest> batch = batchMacs(mac, first, n);
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(batch[i], mac.compute(first[i].hdr, first[i].counter))
+                << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(MacEngine, AnyFlippedPreimageBitFailsVerify)
+{
+    // The request type, each address bit and each counter bit all
+    // reach the digest; a flipped tag bit fails as well.
+    MacEngine mac(MacEngine::Params{});
+    const std::vector<MacCase> cases = macCases();
+    for (size_t i = 0; i < cases.size(); i += 37) {
+        const MacCase &mc = cases[i];
+        const Md5Digest tag = mac.compute(mc.hdr, mc.counter);
+        WireHeader flipped = mc.hdr;
+        flipped.cmd =
+            mc.hdr.cmd == MemCmd::Write ? MemCmd::Read : MemCmd::Write;
+        EXPECT_FALSE(mac.verify(flipped, mc.counter, tag)) << i;
+        for (int bit = 0; bit < 64; ++bit) {
+            flipped = mc.hdr;
+            flipped.addr ^= 1ull << bit;
+            EXPECT_FALSE(mac.verify(flipped, mc.counter, tag))
+                << i << " addr bit " << bit;
+            EXPECT_FALSE(mac.verify(mc.hdr, mc.counter ^ (1ull << bit),
+                                    tag))
+                << i << " counter bit " << bit;
+        }
+        for (int bit = 0; bit < 128; ++bit) {
+            Md5Digest bad = tag;
+            bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            EXPECT_FALSE(mac.verify(mc.hdr, mc.counter, bad))
+                << i << " tag bit " << bit;
+        }
+    }
+}
+
 TEST(MacEngine, EncryptAndMacIsFasterThanEncryptThenMac)
 {
     // Observation 4: overlapping MAC generation with encryption
