@@ -29,7 +29,6 @@ PathOram::PathOram(const Params &params_)
              "unsupported tree height");
     numLeaves = uint64_t{1} << params.levels;
     numBuckets = (uint64_t{2} << params.levels) - 1;
-    slots.resize(numBuckets * params.bucketSize);
 }
 
 uint64_t
@@ -81,10 +80,11 @@ PathOram::access(uint64_t block_id, const DataBlock *new_data)
         uint64_t bucket = bucketOnPath(leaf, level);
         for (unsigned s = 0; s < params.bucketSize; ++s) {
             lastSlots.push_back({bucket, s});
-            Slot &slot = slots[bucket * params.bucketSize + s];
-            if (slot.valid) {
+            auto slot_it = slots.find(bucket * params.bucketSize + s);
+            if (slot_it != slots.end()) {
+                const Slot &slot = slot_it->second;
                 stash[slot.blockId] = {slot.leaf, slot.data};
-                slot.valid = false;
+                slots.erase(slot_it);
             }
         }
     }
@@ -134,12 +134,10 @@ PathOram::access(uint64_t block_id, const DataBlock *new_data)
         auto it = stash.begin();
         while (it != stash.end() && placed < params.bucketSize) {
             if (bucketOnPath(it->second.leaf, level) == bucket) {
-                Slot &slot =
-                    slots[bucket * params.bucketSize + placed];
-                slot.valid = true;
-                slot.blockId = it->first;
-                slot.leaf = it->second.leaf;
-                slot.data = it->second.data;
+                // The read-in emptied every slot on this path.
+                slots.emplace(bucket * params.bucketSize + placed,
+                              Slot{it->first, it->second.leaf,
+                                   it->second.data});
                 it = stash.erase(it);
                 ++placed;
             } else {
@@ -164,10 +162,11 @@ PathOram::checkInvariant() const
              ++level) {
             uint64_t bucket = bucketOnPath(leaf, level);
             for (unsigned s = 0; s < params.bucketSize; ++s) {
-                const Slot &slot =
-                    slots[bucket * params.bucketSize + s];
-                if (slot.valid && slot.blockId == block_id) {
-                    if (slot.leaf != leaf)
+                auto slot_it =
+                    slots.find(bucket * params.bucketSize + s);
+                if (slot_it != slots.end()
+                    && slot_it->second.blockId == block_id) {
+                    if (slot_it->second.leaf != leaf)
                         return false;
                     found = true;
                     break;
@@ -183,12 +182,7 @@ PathOram::checkInvariant() const
 double
 PathOram::occupancy() const
 {
-    uint64_t valid = 0;
-    for (const auto &slot : slots) {
-        if (slot.valid)
-            ++valid;
-    }
-    return static_cast<double>(valid) / slots.size();
+    return static_cast<double>(slots.size()) / physicalBlocks();
 }
 
 std::optional<uint64_t>
@@ -225,15 +219,17 @@ PathOram::serialize(std::ostream &os) const
         serial::putBytes(os, entry.data.data(), entry.data.size());
     }
 
-    uint64_t valid = 0;
-    for (const auto &slot : slots)
-        valid += slot.valid ? 1 : 0;
-    serial::putU64(os, valid);
-    for (uint64_t i = 0; i < slots.size(); ++i) {
-        const Slot &slot = slots[i];
-        if (!slot.valid)
-            continue;
-        serial::putU64(os, i);
+    // Ascending slot index, so checkpoint bytes do not depend on the
+    // hash table's iteration order.
+    std::vector<uint64_t> stored;
+    stored.reserve(slots.size());
+    for (const auto &[index, slot] : slots)
+        stored.push_back(index);
+    std::sort(stored.begin(), stored.end());
+    serial::putU64(os, stored.size());
+    for (uint64_t index : stored) {
+        const Slot &slot = slots.at(index);
+        serial::putU64(os, index);
         serial::putU64(os, slot.blockId);
         serial::putU64(os, slot.leaf);
         serial::putBytes(os, slot.data.data(), slot.data.size());
@@ -262,8 +258,10 @@ PathOram::deserialize(std::istream &is)
     posMap.clear();
     for (uint64_t i = 0; i < pos_entries; ++i) {
         uint64_t block_id = 0, leaf = 0;
-        if (!serial::getU64(is, block_id) || !serial::getU64(is, leaf))
+        if (!serial::getU64(is, block_id) || !serial::getU64(is, leaf)
+            || leaf >= numLeaves) {
             return false;
+        }
         posMap[block_id] = leaf;
     }
 
@@ -275,7 +273,7 @@ PathOram::deserialize(std::istream &is)
         uint64_t block_id = 0;
         StashEntry entry{};
         if (!serial::getU64(is, block_id)
-            || !serial::getU64(is, entry.leaf)
+            || !serial::getU64(is, entry.leaf) || entry.leaf >= numLeaves
             || !serial::getBytes(is, entry.data.data(),
                                  entry.data.size())) {
             return false;
@@ -283,21 +281,20 @@ PathOram::deserialize(std::istream &is)
         stash[block_id] = entry;
     }
 
-    uint64_t valid = 0;
-    if (!serial::getU64(is, valid))
+    uint64_t stored = 0;
+    if (!serial::getU64(is, stored))
         return false;
-    slots.assign(slots.size(), Slot{});
-    for (uint64_t i = 0; i < valid; ++i) {
+    slots.clear();
+    for (uint64_t i = 0; i < stored; ++i) {
         uint64_t index = 0;
         Slot slot{};
-        if (!serial::getU64(is, index) || index >= slots.size()
+        if (!serial::getU64(is, index) || index >= physicalBlocks()
             || !serial::getU64(is, slot.blockId)
-            || !serial::getU64(is, slot.leaf)
+            || !serial::getU64(is, slot.leaf) || slot.leaf >= numLeaves
             || !serial::getBytes(is, slot.data.data(),
                                  slot.data.size())) {
             return false;
         }
-        slot.valid = true;
         slots[index] = slot;
     }
 

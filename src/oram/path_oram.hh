@@ -146,15 +146,16 @@ class PathOram
 
     /**
      * Restore from serialize() output. Returns false (leaving the
-     * structure unspecified) on a malformed stream or a geometry
-     * mismatch with this instance's params.
+     * structure unspecified) on a malformed stream, a geometry
+     * mismatch with this instance's params, a leaf >= 2^L or a slot
+     * index >= physicalBlocks().
      */
     bool deserialize(std::istream &is);
 
   private:
+    /** The real block one tree slot holds. */
     struct Slot
     {
-        bool valid = false;
         uint64_t blockId = 0;
         uint64_t leaf = 0;
         DataBlock data{};
@@ -175,7 +176,12 @@ class PathOram
     Params params;
     uint64_t numLeaves;
     uint64_t numBuckets;
-    std::vector<Slot> slots;
+    /**
+     * Occupied tree slots, keyed by slot index (bucket * Z + s); an
+     * absent index is an empty (dummy) slot. Memory follows the
+     * blocks a run places, not the 2^(L+1) * Z declared slots.
+     */
+    std::unordered_map<uint64_t, Slot> slots;
 
     std::unordered_map<uint64_t, uint64_t> posMap;
     std::unordered_map<uint64_t, StashEntry> stash;

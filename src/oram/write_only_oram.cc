@@ -200,8 +200,9 @@ WriteOnlyOram::deserialize(std::istream &is)
     holdOwner.assign(params.capacityBlocks, kFree);
     for (uint64_t i = 0; i < held; ++i) {
         uint64_t block_id = 0, slot = 0;
-        if (!serial::getU64(is, block_id) || !serial::getU64(is, slot)
-            || slot >= params.capacityBlocks
+        if (!serial::getU64(is, block_id)
+            || block_id >= params.capacityBlocks
+            || !serial::getU64(is, slot) || slot >= params.capacityBlocks
             || !serial::getBytes(is, holdArea[slot].data(),
                                  holdArea[slot].size())) {
             return false;

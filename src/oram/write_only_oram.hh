@@ -98,7 +98,10 @@ class WriteOnlyOram
 
     /** Checkpoint the functional state. */
     void serialize(std::ostream &os) const;
-    /** Restore from serialize() output; false on format mismatch. */
+    /**
+     * Restore from serialize() output; false on format mismatch or a
+     * holding entry whose block id or slot is >= capacityBlocks().
+     */
     bool deserialize(std::istream &is);
 
   private:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -88,7 +89,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PathOramRandomOps,
     ::testing::Values(std::make_pair(6u, 4u), std::make_pair(8u, 4u),
                       std::make_pair(10u, 4u), std::make_pair(8u, 2u),
-                      std::make_pair(8u, 6u)));
+                      std::make_pair(8u, 6u),
+                      // The paper's geometry; the tree stores only
+                      // the blocks placed, so this costs milliseconds.
+                      std::make_pair(24u, 4u)));
 
 TEST(PathOram, RemapsToFreshLeaves)
 {
@@ -203,6 +207,29 @@ TEST(PathOram, TransientPeakExceedsPostEvictionStash)
     EXPECT_EQ(oram.stashOverflows(), 0u);
 }
 
+namespace {
+
+uint64_t
+wordAt(const std::string &bytes, size_t at)
+{
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+}
+
+/** Whether a checkpoint loads with its u64 at @p at set to @p value. */
+bool
+loadsPatched(const PathOram::Params &params, std::string bytes, size_t at,
+             uint64_t value)
+{
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    std::stringstream in(bytes);
+    PathOram oram(params);
+    return oram.deserialize(in);
+}
+
+} // namespace
+
 TEST(PathOram, SerializeRoundTripsAndReplaysIdentically)
 {
     PathOram::Params params;
@@ -238,6 +265,37 @@ TEST(PathOram, SerializeRoundTripsAndReplaysIdentically)
     std::stringstream cut(bytes.substr(0, bytes.size() / 2));
     PathOram c(params);
     EXPECT_FALSE(c.deserialize(cut));
+
+    // A leaf or slot index outside the tree is rejected, not followed
+    // out of the tree by the next access. Layout after magic, L and Z:
+    // the position map (count, {id, leaf}), the stash (count, {id,
+    // leaf, data}) and the tree (count, {index, id, leaf, data}).
+    const uint64_t leaves = uint64_t{1} << params.levels;
+    const size_t pos_at = 3 * 8;
+    const size_t stash_at = pos_at + 8 + 16 * wordAt(bytes, pos_at);
+    const size_t tree_at = stash_at + 8 + 80 * wordAt(bytes, stash_at);
+    ASSERT_GT(wordAt(bytes, tree_at), 0u);
+    EXPECT_TRUE(loadsPatched(params, bytes, pos_at, wordAt(bytes, pos_at)));
+    EXPECT_FALSE(loadsPatched(params, bytes, pos_at + 16, 1ull << 40));
+    EXPECT_FALSE(
+        loadsPatched(params, bytes, tree_at + 8, a.physicalBlocks()));
+    EXPECT_FALSE(loadsPatched(params, bytes, tree_at + 24, leaves));
+
+    // More live blocks than the 28 slots of an L=2 tree leave some in
+    // the stash: a stash leaf outside the tree is rejected too.
+    PathOram::Params tiny = params;
+    tiny.levels = 2;
+    PathOram over(tiny);
+    for (uint64_t block = 0; block < 40; ++block)
+        over.write(block, DataBlock{});
+    ASSERT_GT(over.stashSize(), 0u);
+    std::stringstream over_snap;
+    over.serialize(over_snap);
+    const std::string over_bytes = over_snap.str();
+    const size_t over_stash_at =
+        pos_at + 8 + 16 * wordAt(over_bytes, pos_at);
+    EXPECT_TRUE(loadsPatched(tiny, over_bytes, pos_at, 40));
+    EXPECT_FALSE(loadsPatched(tiny, over_bytes, over_stash_at + 16, 4));
 }
 
 TEST(PathOram, OccupancyNeverExceedsOne)

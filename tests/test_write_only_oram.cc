@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -351,6 +352,28 @@ TEST(WriteOnlyOram, SerializeRoundTripsAndReplaysIdentically)
     std::stringstream cut(bytes.substr(0, bytes.size() / 2));
     WriteOnlyOram c(params);
     EXPECT_FALSE(c.deserialize(cut));
+
+    // A holding entry for a block outside [0, N) is rejected, not used
+    // to index the written-block map. Layout after magic, N and the
+    // write counter: per main block a flag (plus data if set), then
+    // the holding entries (count, {id, slot, data}).
+    ASSERT_GT(a.holdingCount(), 0u);
+    auto word = [&bytes](size_t at) {
+        uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    size_t held_at = 3 * 8;
+    for (uint64_t block = 0; block < params.capacityBlocks; ++block)
+        held_at += 8 + (word(held_at) ? 64 : 0);
+    ASSERT_EQ(word(held_at), a.holdingCount());
+    std::string patched = bytes;
+    const uint64_t out_of_range = params.capacityBlocks;
+    std::memcpy(patched.data() + held_at + 8, &out_of_range,
+                sizeof(out_of_range));
+    std::stringstream bad_id(patched);
+    WriteOnlyOram e(params);
+    EXPECT_FALSE(e.deserialize(bad_id));
 }
 
 // =====================================================================
