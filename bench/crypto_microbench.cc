@@ -7,7 +7,7 @@
  *
  * A custom main also hand-times the AES implementations against each
  * other and appends the speedups as OBFUSMEM_BENCH_JSON rows: each
- * hardware lane (aesni, aesni4, vaes) versus the T-table path, with
+ * hardware lane (aesni, vaes) versus the T-table path, with
  * the ratio in a dedicated `speedup_x` field (`ticks` carries the
  * blocks processed). Earlier baselines (BENCH_PR4.json) overloaded
  * `overhead_pct` with this ratio; consumers should prefer
@@ -47,8 +47,7 @@ key()
 }
 
 constexpr AesImpl implForArg[] = {AesImpl::Reference, AesImpl::Ttable,
-                                  AesImpl::Aesni, AesImpl::Aesni4,
-                                  AesImpl::Vaes};
+                                  AesImpl::Aesni, AesImpl::Vaes};
 
 /** True when `impl` can run on this host/build (Skip otherwise). */
 bool
@@ -56,7 +55,6 @@ implAvailable(AesImpl impl)
 {
     switch (impl) {
       case AesImpl::Aesni:
-      case AesImpl::Aesni4:
         return Aes128::aesniAvailable();
       case AesImpl::Vaes:
         return Aes128::vaesAvailable();
@@ -121,8 +119,7 @@ BM_AesEncryptBlocksImpl(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 48 * 16);
     state.SetLabel(aesImplName(impl));
 }
-BENCHMARK(BM_AesEncryptBlocksImpl)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_AesEncryptBlocksImpl)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void
 BM_AesCtrPad(benchmark::State &state)
@@ -341,8 +338,7 @@ emitAesSpeedupRows()
     // prefetch refill of eight 6-pad request groups (also enough to
     // fill the 16-block VAES lanes three times over).
     const Shape shapes[] = {{"single-block", 1}, {"batch48", 48}};
-    const AesImpl lanes[] = {AesImpl::Aesni, AesImpl::Aesni4,
-                             AesImpl::Vaes};
+    const AesImpl lanes[] = {AesImpl::Aesni, AesImpl::Vaes};
     for (const auto &s : shapes) {
         const double ttable =
             aesBlocksPerSec(AesImpl::Ttable, s.batch, blocks);

@@ -22,15 +22,13 @@ using namespace obfusmem::bench;
 
 namespace {
 
-/** "aes=<impl>,prefetch=<depth>,batch=<0|1>": host crypto config. */
+/** "aes=<impl>,prefetch=<depth>": host crypto config. */
 std::string
 hostCryptoConfig()
 {
     return std::string("aes=") +
            crypto::aesImplName(crypto::Aes128::defaultImpl()) +
-           ",prefetch=" + std::to_string(defaultPadPrefetchDepth()) +
-           ",batch=" +
-           (env::u64("OBFUSMEM_BURST_BATCH", 1) != 0 ? "1" : "0");
+           ",prefetch=" + std::to_string(defaultPadPrefetchDepth());
 }
 
 } // namespace

@@ -8,7 +8,7 @@
  * 128-bit pad per cycle throughput, 15.1 mW, 0.204 mm^2) are captured as
  * constants here and consumed by the timing model.
  *
- * Five encryption implementations are provided:
+ * Four encryption implementations are provided:
  *  - Vaes: 512-bit VAES batches (four blocks per zmm register, four
  *    registers in flight) for the widest pad-generation lanes. The
  *    default when the build carries the instructions and the running
@@ -16,9 +16,6 @@
  *  - Aesni: hardware AES via the x86 AES-NI instructions, with 4/8-wide
  *    pipelined batches in encryptBlocks. The default on AES-NI CPUs
  *    without usable VAES.
- *  - Aesni4: the 4-wide-only software-pipelined AES-NI variant, kept
- *    selectable as the mid-rung of the lane-width ladder (and as the
- *    fallback target the VAES dispatch is validated against).
  *  - Ttable: the portable hot path. The 32-bit T-table formulation
  *    fuses SubBytes, ShiftRows and MixColumns into four table lookups
  *    and three XORs per column per round. The tables are generated at
@@ -68,8 +65,6 @@ enum class AesImpl
     Reference,
     /** x86 AES-NI hardware path (8-wide batches). */
     Aesni,
-    /** 4-wide software-pipelined AES-NI batches only. */
-    Aesni4,
     /** 512-bit VAES batches (the widest pad-generation lanes). */
     Vaes,
 };
@@ -120,7 +115,7 @@ class Aes128
     /**
      * Process-wide default implementation, read once from the
      * OBFUSMEM_AES_IMPL environment variable ("vaes", "aesni",
-     * "aesni4", "ttable" or "reference"; stable across threads).
+     * "ttable" or "reference"; stable across threads).
      * Unset: the widest lane the build and the running CPU support —
      * Vaes, then Aesni, then Ttable. An explicit hardware choice that
      * cannot be honoured warns and falls back down the same ladder.
@@ -163,9 +158,6 @@ Block128 aesniEncryptBlock(OBF_SECRET const Aes128::RoundKeys &schedule,
                            const Block128 &plaintext);
 void aesniEncryptBlocks(OBF_SECRET const Aes128::RoundKeys &schedule,
                         const Block128 *in, Block128 *out, size_t n);
-/** The 4-wide-only software-pipelined variant (AesImpl::Aesni4). */
-void aesni4EncryptBlocks(OBF_SECRET const Aes128::RoundKeys &schedule,
-                         const Block128 *in, Block128 *out, size_t n);
 
 /**
  * VAES/AVX-512 entry points, defined in aes128_vaes.cc — the only

@@ -70,11 +70,14 @@ vaesEncryptBlocks(const Aes128::RoundKeys &schedule,
                   const Block128 *in, Block128 *out, size_t n)
 {
     // Each round key broadcast to all four 128-bit lanes of a zmm.
+    // The all-ones zero-mask form is the same vbroadcasti32x4 as
+    // _mm512_broadcast_i32x4, whose gcc 12 expansion reads an
+    // undefined source operand and trips -Wuninitialized.
     __m512i rk[11];
     __m128i rk128[11];
     for (int r = 0; r < 11; ++r) {
         rk128[r] = load128(schedule[r].data());
-        rk[r] = _mm512_broadcast_i32x4(rk128[r]);
+        rk[r] = _mm512_maskz_broadcast_i32x4(0xffff, rk128[r]);
     }
 
     size_t i = 0;

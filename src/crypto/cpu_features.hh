@@ -7,8 +7,8 @@
  * are separate questions: a binary built with the AES-NI translation
  * unit may land on a CPU without the extension, and the dispatch in
  * Aes128 must then fall back to the T-table path instead of faulting
- * on the first aesenc. The same split applies to the wider lanes:
- * VAES/AVX-512 (vaes pad generation) and AVX2 (8-lane MD5).
+ * on the first aesenc. The same split applies to the VAES/AVX-512
+ * pad-generation lanes.
  */
 
 #ifndef OBFUSMEM_CRYPTO_CPU_FEATURES_HH
@@ -28,13 +28,13 @@ bool cpuHasAesni();
 
 /**
  * True when the CPU advertises AVX2 *and* the OS saves the YMM state
- * (OSXSAVE + XCR0). Gates the 8-lane MD5 MAC kernel.
+ * (OSXSAVE + XCR0). Reported in cpuFeatureSummary().
  */
 bool cpuHasAvx2();
 
 /**
  * True when the CPU advertises AVX-512F and the OS saves the ZMM and
- * opmask state. Gates the 16-lane MD5 MAC kernel.
+ * opmask state. Reported in cpuFeatureSummary().
  */
 bool cpuHasAvx512f();
 

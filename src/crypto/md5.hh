@@ -8,12 +8,17 @@
  * counter value and the message itself is encrypted. The paper's
  * synthesized 64-stage pipelined engine figures are captured in
  * Md5EngineParams for the timing model.
+ *
+ * Two implementations live here: the incremental Md5 context, which
+ * hashes any message and is the oracle, and md5Rac, the one-block
+ * kernel behind every bus MAC. Tests pin the kernel to the context.
  */
 
 #ifndef OBFUSMEM_CRYPTO_MD5_HH
 #define OBFUSMEM_CRYPTO_MD5_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +41,22 @@ struct Md5EngineParams
 
 /** 128-bit MD5 digest. */
 using Md5Digest = std::array<uint8_t, 16>;
+
+/**
+ * Bytes in the bus-MAC preimage H(r | a | c) (paper Sec. 3.5): the
+ * request-type byte r, then the address a and the counter c as
+ * little-endian 64-bit words.
+ */
+constexpr size_t md5RacLen = 17;
+
+/**
+ * MD5 of one r|a|c preimage, equal to Md5::digest of its 17 bytes.
+ * The preimage always pads into exactly one 64-byte block, so this
+ * is one straight-line compression from the standard IV: the message
+ * words come straight from the three fields, the padding words are
+ * constants, and no Md5 context is built.
+ */
+OBF_SECRET Md5Digest md5Rac(uint8_t r, uint64_t a, uint64_t c);
 
 /**
  * Incremental MD5 context.

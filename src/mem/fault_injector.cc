@@ -19,8 +19,9 @@ FaultInjector::Params::fromEnv()
     p.corruptProb = env::f64("OBFUSMEM_FAULT_CORRUPT", 0);
     p.delayProb = env::f64("OBFUSMEM_FAULT_DELAY", 0);
     p.dupProb = env::f64("OBFUSMEM_FAULT_DUP", 0);
-    p.delayTicks =
-        env::u64("OBFUSMEM_FAULT_DELAY_NS", 100) * tickPerNs;
+    p.delayTicks = env::u64("OBFUSMEM_FAULT_DELAY_NS", 100,
+                            UINT64_MAX / tickPerNs)
+                   * tickPerNs;
     return p;
 }
 

@@ -67,16 +67,6 @@ class MacEngine
                                          uint64_t counter) const;
 
     /**
-     * Compute the MACs of a batch of messages in one call — both
-     * messages of a request group are MACed together, mirroring the
-     * batched pad generation (the hardware analogue: one pass through
-     * the pipelined MD5 engine per group, not per message).
-     */
-    void computeBatch(const WireHeader *hdrs, const uint64_t *counters,
-                      OBF_SECRET crypto::Md5Digest *out,
-                      size_t n) const;
-
-    /**
      * Verify a received MAC against local plaintext + counter. The
      * boolean outcome is deliberately public (it drives the tamper
      * fail-stop); the comparison inside goes through crypto::ctEqual.

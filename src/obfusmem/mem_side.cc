@@ -286,24 +286,20 @@ ObfusMemMemSide::sendReadReply(const WireHeader &req_hdr,
     replyPads.take(ctr, pads.pad.data());
     schedulePadRefill();
     padsUsed += 5;
-    replyBurst.stageData(channel, pads.header(), pads.payload(), hdr,
-                         data, ctr);
-    if (!replyBurst.deferred())
-        flushReplyBurst();
+    transmitReply(pads, hdr, data, ctr);
 }
 
 void
-ObfusMemMemSide::flushReplyBurst()
+ObfusMemMemSide::transmitReply(const ReplyPads &pads,
+                               const WireHeader &hdr,
+                               const DataBlock &payload, uint64_t mac_ctr)
 {
-    replyBurst.flushWith(mac, params.auth,
-        [this](unsigned, WireMessage &&msg, BurstBatch::Completion &&) {
-            transmitReply(std::move(msg));
-        });
-}
-
-void
-ObfusMemMemSide::transmitReply(WireMessage msg)
-{
+    // Each reply is sealed on its own, right where it is sent: the
+    // MAC covers the plaintext r|a|c and this reply's counter.
+    WireMessage msg =
+        makeDataMessage(pads.header(), pads.payload(), hdr, payload);
+    if (params.auth)
+        attachMac(msg, mac.compute(hdr, mac_ctr));
     Tick lat = params.xorLatency
                + (params.auth ? mac.senderLatency() : 0);
     scheduleAfter(lat, [this, msg = std::move(msg)]() mutable {
@@ -516,9 +512,7 @@ ObfusMemMemSide::sendHandshakeResponse()
 {
     // Response chunks ride reply-shaped frames on the control tx
     // stream: indistinguishable on the wire from ordinary read
-    // replies. Control pads are not reported to the auditor. All
-    // chunks of one response stage into one burst.
-    auto scope = burstScope(replyBurst, [this] { flushReplyBurst(); });
+    // replies. Control pads are not reported to the auditor.
     for (const DataBlock &payload : respPayloads) {
         uint64_t ctr = ctlRespCounter;
         ctlRespCounter += countersPerReply;
@@ -528,10 +522,7 @@ ObfusMemMemSide::sendHandshakeResponse()
         hdr.addr = dummyBlockAddr;
         hdr.tag = 0;
         hdr.dummy = true;
-        replyBurst.stageData(channel, pads.header(), pads.payload(),
-                             hdr, payload, ctr);
-        if (!replyBurst.deferred())
-            flushReplyBurst();
+        transmitReply(pads, hdr, payload, ctr);
     }
 }
 

@@ -19,7 +19,7 @@
 #include "obfusmem/audit_hook.hh"
 #include "mem/channel_bus.hh"
 #include "mem/pcm_controller.hh"
-#include "obfusmem/burst_batch.hh"
+#include "obfusmem/mac_engine.hh"
 #include "obfusmem/params.hh"
 #include "obfusmem/wire_format.hh"
 #include "secure/pad_prefetcher.hh"
@@ -145,11 +145,12 @@ class ObfusMemMemSide : public SimObject
     /** (Re)send the stored handshake response at fresh counters. */
     void sendHandshakeResponse();
 
-    /** Push a built reply-direction frame onto the bus. */
-    void transmitReply(WireMessage msg);
-
-    /** Batch-MAC + seal staged replies, then transmit in order. */
-    void flushReplyBurst();
+    /**
+     * Build and seal one reply-direction frame and push it onto the
+     * bus after the sender-side latency.
+     */
+    void transmitReply(const ReplyPads &pads, const WireHeader &hdr,
+                       const DataBlock &payload, uint64_t mac_ctr);
 
     ObfusMemParams params;
     unsigned channel;
@@ -167,9 +168,6 @@ class ObfusMemMemSide : public SimObject
     ObfusMemProcSide *procSide = nullptr;
     /** Test/tooling intercept; overrides procSide when set. */
     std::function<void(WireMessage &&)> replyTarget;
-
-    /** SoA staging for outbound replies of one call chain. */
-    BurstBatch replyBurst;
 
     uint64_t reqCounter = 0;
     /** Which message of the current request group is next (0 or 1). */

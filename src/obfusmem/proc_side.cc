@@ -169,10 +169,6 @@ void
 ObfusMemProcSide::dispatch(unsigned channel, MemPacket pkt,
                            PacketCallback cb)
 {
-    // One request can fan out into many frames (its own group, fill
-    // dummies on every other channel, a write drain); the whole chain
-    // stages into one burst that flushes when this scope closes.
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     if (cs.health == ChannelHealth::Quarantined) {
         // The channel is out of service; the request cannot be
@@ -241,7 +237,6 @@ ObfusMemProcSide::ensureHeartbeats()
 void
 ObfusMemProcSide::heartbeat(unsigned channel)
 {
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     if (cs.health == ChannelHealth::Quarantined) {
         cs.heartbeatActive = false;
@@ -276,9 +271,6 @@ ObfusMemProcSide::heartbeat(unsigned channel)
 void
 ObfusMemProcSide::maybeDrainWrites(unsigned channel)
 {
-    // The drain loop is the deepest fan-out: a high-watermark drain
-    // stages maxOutstandingGroups' worth of frames into one burst.
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     if (cs.health != ChannelHealth::Active)
         return;
@@ -302,9 +294,6 @@ void
 ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
                             PacketCallback cb)
 {
-    // Standalone calls still batch the group's two frames; calls from
-    // a wider scope (dispatch, drain, heartbeat) nest into its burst.
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     uint64_t ctr = cs.reqCounter;
     OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
@@ -352,8 +341,10 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
             pend.rbFirst = hdr;
             pend.rbPayload = payload;
             cs.pending[hdr.tag] = std::move(pend);
-            burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
-                            payload, ctr);
+            transmit(channel,
+                     makeDataMessage(pads.pad[0], &pads.pad[2], hdr,
+                                     payload),
+                     hdr, ctr);
         } else {
             ++realWrites;
             // The write's junk reply is discarded; completion is
@@ -363,12 +354,11 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
             pend.rbFirst = hdr;
             pend.rbPayload = payload;
             cs.pending[hdr.tag] = std::move(pend);
-            burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
-                            payload, ctr, std::move(pkt),
-                            std::move(cb));
+            transmit(channel,
+                     makeDataMessage(pads.pad[0], &pads.pad[2], hdr,
+                                     payload),
+                     hdr, ctr, std::move(pkt), std::move(cb));
         }
-        if (!burst.deferred())
-            flushBurst();
         ensureWatchdog(channel);
         return;
     }
@@ -389,9 +379,7 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
         }
         ++cs.outstandingReads;
 
-        burst.stageHeader(channel, pads.pad[0], hdr, ctr);
-        if (!burst.deferred())
-            flushBurst();
+        transmit(channel, makeHeaderMessage(pads.pad[0], hdr), hdr, ctr);
 
         // Message 2: the paired write. When writes are piling up, a
         // real one substitutes for the dummy - same wire pattern, no
@@ -412,11 +400,10 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
                 pend.rbSecond = whdr;
                 pend.rbPayload = payload;
             }
-            burst.stageData(channel, pads.pad[1], &pads.pad[2], whdr,
-                            payload, ctr + 1, std::move(qw.pkt),
-                            std::move(qw.cb));
-            if (!burst.deferred())
-                flushBurst();
+            transmit(channel,
+                     makeDataMessage(pads.pad[1], &pads.pad[2], whdr,
+                                     payload),
+                     whdr, ctr + 1, std::move(qw.pkt), std::move(qw.cb));
             ensureWatchdog(channel);
             return;
         }
@@ -432,17 +419,16 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
             pend.rbSecond = dummy_hdr;
             pend.rbPayload = junk;
         }
-        burst.stageData(channel, pads.pad[1], &pads.pad[2], dummy_hdr,
-                        junk, ctr + 1);
-        if (!burst.deferred())
-            flushBurst();
+        transmit(channel,
+                 makeDataMessage(pads.pad[1], &pads.pad[2], dummy_hdr,
+                                 junk),
+                 dummy_hdr, ctr + 1);
         ensureWatchdog(channel);
         return;
     }
 
     // Real write: preceded by a dummy read (reads are latency
-    // critical, writes are not - paper Sec. 3.3). Both headers are
-    // known up front, so the two MACs are computed in one batch.
+    // critical, writes are not - paper Sec. 3.3).
     ++realWrites;
     ++pairedDummies;
     WireHeader dummy_hdr;
@@ -465,26 +451,23 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
         cs.pending[dummy_hdr.tag] = std::move(pend);
     }
 
-    burst.stageHeader(channel, pads.pad[0], dummy_hdr, ctr);
-    if (!burst.deferred())
-        flushBurst();
+    transmit(channel, makeHeaderMessage(pads.pad[0], dummy_hdr),
+             dummy_hdr, ctr);
 
     // Second encryption on top of the memory-encryption ciphertext:
     // hides temporal reuse of unmodified data (Observation 1). The
     // write is posted: its completion fires when the sealed frame has
     // fully crossed the bus.
     DataBlock payload = pkt.data;
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], hdr, payload,
-                    ctr + 1, std::move(pkt), std::move(cb));
-    if (!burst.deferred())
-        flushBurst();
+    transmit(channel,
+             makeDataMessage(pads.pad[1], &pads.pad[2], hdr, payload),
+             hdr, ctr + 1, std::move(pkt), std::move(cb));
     ensureWatchdog(channel);
 }
 
 void
 ObfusMemProcSide::sendDummyGroup(unsigned channel)
 {
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ++channelFillGroups;
     ChannelState &cs = channelState[channel];
     uint64_t ctr = cs.reqCounter;
@@ -523,10 +506,9 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
             pend.rbPayload = junk;
             cs.pending[rd.tag] = std::move(pend);
         }
-        burst.stageData(channel, pads.pad[0], &pads.pad[2], rd, junk,
-                        ctr);
-        if (!burst.deferred())
-            flushBurst();
+        transmit(channel,
+                 makeDataMessage(pads.pad[0], &pads.pad[2], rd, junk),
+                 rd, ctr);
         ensureWatchdog(channel);
         return;
     }
@@ -543,9 +525,7 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
     wr.addr = dummyAddrFor(channel, cs.dummyAddr);
     wr.dummy = true;
 
-    burst.stageHeader(channel, pads.pad[0], rd, ctr);
-    if (!burst.deferred())
-        flushBurst();
+    transmit(channel, makeHeaderMessage(pads.pad[0], rd), rd, ctr);
 
     DataBlock junk;
     junkRng.fillBytes(junk.data(), junk.size());
@@ -557,10 +537,8 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
         pend.rbPayload = junk;
         cs.pending[rd.tag] = std::move(pend);
     }
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], wr, junk,
-                    ctr + 1);
-    if (!burst.deferred())
-        flushBurst();
+    transmit(channel, makeDataMessage(pads.pad[1], &pads.pad[2], wr, junk),
+             wr, ctr + 1);
     ensureWatchdog(channel);
 }
 
@@ -596,33 +574,23 @@ ObfusMemProcSide::injectChannelDummies(unsigned active_channel)
 }
 
 void
-ObfusMemProcSide::flushBurst()
+ObfusMemProcSide::transmit(OBF_PUBLIC unsigned channel, WireMessage msg,
+                           const WireHeader &hdr, uint64_t mac_ctr,
+                           MemPacket pkt, OBF_PUBLIC PacketCallback cb)
 {
-    // The back half of the pipeline runs here: one vectorized MAC
-    // batch over every staged (header, counter) pair, one SoA seal
-    // pass, then the bus enqueues in stage order. Enqueue order is all
-    // the bus observes of us within a tick (serialization happens on
-    // later ticks), so the wire trace is bit-identical to per-message
-    // flushing — CI diffs OBFUSMEM_BURST_BATCH=0/1 to hold us to that.
-    burst.flushWith(mac, params.auth,
-        [this](unsigned channel, WireMessage &&msg,
-               BurstBatch::Completion &&done) {
-            deliverStaged(channel, std::move(msg), std::move(done));
-        });
-}
-
-void
-ObfusMemProcSide::deliverStaged(unsigned channel, WireMessage &&msg,
-                                BurstBatch::Completion &&done)
-{
+    // Encrypt-and-MAC: the tag covers the plaintext r|a|c and this
+    // frame's counter, so each frame is sealed on its own, right
+    // where it is sent (paper Sec. 3.5).
+    if (params.auth)
+        attachMac(msg, mac.compute(hdr, mac_ctr));
     ChannelState &cs = channelState[channel];
     uint64_t snoop_addr = msg.snoopAddr();
     uint32_t bytes = msg.wireBytes(params.headerWireBytes,
                                    params.macWireBytes);
     bool is_data = msg.hasData;
     cs.bus->send(BusDir::ToMemory, bytes, snoop_addr, is_data,
-        [this, channel, msg = std::move(msg), pkt = std::move(done.pkt),
-         cb = std::move(done.cb)](const BusFault &fault) mutable {
+        [this, channel, msg = std::move(msg), pkt = std::move(pkt),
+         cb = std::move(cb)](const BusFault &fault) mutable {
             ChannelState &cs2 = channelState[channel];
             if (fault.corrupted)
                 corruptHeaderBit(msg, fault.entropy);
@@ -756,8 +724,6 @@ ObfusMemProcSide::ensureWatchdog(unsigned channel)
 void
 ObfusMemProcSide::watchdogTick(unsigned channel)
 {
-    // Retransmits of every overdue group batch into one burst.
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     cs.watchdogActive = false;
     if (cs.health == ChannelHealth::Quarantined)
@@ -802,7 +768,6 @@ ObfusMemProcSide::watchdogTick(unsigned channel)
 void
 ObfusMemProcSide::retransmitGroup(unsigned channel, uint16_t tag)
 {
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     if (cs.health != ChannelHealth::Active)
         return;
@@ -836,20 +801,19 @@ ObfusMemProcSide::retransmitGroup(unsigned channel, uint16_t tag)
     p.lastSend = curTick();
 
     if (params.uniformPackets) {
-        burst.stageData(channel, pads.pad[0], &pads.pad[2], p.rbFirst,
-                        p.rbPayload, ctr);
-        if (!burst.deferred())
-            flushBurst();
+        transmit(channel,
+                 makeDataMessage(pads.pad[0], &pads.pad[2], p.rbFirst,
+                                 p.rbPayload),
+                 p.rbFirst, ctr);
         return;
     }
 
-    burst.stageHeader(channel, pads.pad[0], p.rbFirst, ctr);
-    if (!burst.deferred())
-        flushBurst();
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], p.rbSecond,
-                    p.rbPayload, ctr + 1);
-    if (!burst.deferred())
-        flushBurst();
+    transmit(channel, makeHeaderMessage(pads.pad[0], p.rbFirst),
+             p.rbFirst, ctr);
+    transmit(channel,
+             makeDataMessage(pads.pad[1], &pads.pad[2], p.rbSecond,
+                             p.rbPayload),
+             p.rbSecond, ctr + 1);
 }
 
 void
@@ -870,8 +834,6 @@ ObfusMemProcSide::startRekey(unsigned channel)
 void
 ObfusMemProcSide::sendRekeyRequest(unsigned channel)
 {
-    // All handshake chunks of one attempt batch into one burst.
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     if (cs.rekeyAttempts >= params.recovery.rekeyMaxAttempts) {
         quarantineChannel(channel);
@@ -914,7 +876,6 @@ void
 ObfusMemProcSide::sendControlGroup(unsigned channel,
                                    const DataBlock &payload)
 {
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     // Control frames mirror a normal request group's wire shape
     // exactly; only the key and the counter stream differ, neither of
     // which is visible on the wire. Control pads are not reported to
@@ -929,10 +890,9 @@ ObfusMemProcSide::sendControlGroup(unsigned channel,
         hdr.cmd = MemCmd::Write;
         hdr.addr = cs.dummyAddr;
         hdr.dummy = true;
-        burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
-                        payload, ctr);
-        if (!burst.deferred())
-            flushBurst();
+        transmit(channel,
+                 makeDataMessage(pads.pad[0], &pads.pad[2], hdr, payload),
+                 hdr, ctr);
         return;
     }
 
@@ -945,13 +905,10 @@ ObfusMemProcSide::sendControlGroup(unsigned channel,
     wr.addr = cs.dummyAddr;
     wr.dummy = true;
 
-    burst.stageHeader(channel, pads.pad[0], rd, ctr);
-    if (!burst.deferred())
-        flushBurst();
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], wr, payload,
-                    ctr + 1);
-    if (!burst.deferred())
-        flushBurst();
+    transmit(channel, makeHeaderMessage(pads.pad[0], rd), rd, ctr);
+    transmit(channel,
+             makeDataMessage(pads.pad[1], &pads.pad[2], wr, payload), wr,
+             ctr + 1);
 }
 
 void
@@ -1054,9 +1011,6 @@ void
 ObfusMemProcSide::finishRekey(unsigned channel,
                               const std::vector<uint8_t> &peer_pub)
 {
-    // The replay of every outstanding group and the release of held
-    // requests all stage into one burst under the new epoch key.
-    auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
     crypto::BigUint pub =
         crypto::BigUint::fromBytes(peer_pub.data(), peer_pub.size());

@@ -23,7 +23,7 @@
 #include "obfusmem/audit_hook.hh"
 #include "mem/channel_bus.hh"
 #include "mem/packet.hh"
-#include "obfusmem/burst_batch.hh"
+#include "obfusmem/mac_engine.hh"
 #include "obfusmem/params.hh"
 #include "obfusmem/wire_format.hh"
 #include "secure/pad_prefetcher.hh"
@@ -267,14 +267,19 @@ class ObfusMemProcSide : public SimObject, public MemSink
     void injectChannelDummies(unsigned active_channel);
 
     /**
-     * Back half of the batch pipeline: batch-MAC + seal every staged
-     * frame, then enqueue each on its channel's bus in stage order.
+     * Seal a built frame with the MAC of (`hdr`, `mac_ctr`) when
+     * authenticating and enqueue it on the channel's bus (the bus
+     * callback owns the delivery). A set `cb` completes `pkt` (a
+     * posted write) when the frame reaches the far pin. The channel
+     * is the bus the frame is seen on, so it is public. So is `cb`:
+     * it is the requester's completion hook, and whether a frame
+     * carries one is simulator plumbing, never wire data or key
+     * material.
      */
-    void flushBurst();
-
-    /** Enqueue one sealed frame (bus callback owns the delivery). */
-    void deliverStaged(unsigned channel, WireMessage &&msg,
-                       BurstBatch::Completion &&done);
+    void transmit(OBF_PUBLIC unsigned channel, WireMessage msg,
+                  const WireHeader &hdr, uint64_t mac_ctr,
+                  MemPacket pkt = {},
+                  OBF_PUBLIC PacketCallback cb = nullptr);
 
     /** Schedule zero-delay refills for a channel's depleted rings. */
     void schedulePadRefill(unsigned channel);
@@ -328,8 +333,6 @@ class ObfusMemProcSide : public SimObject, public MemSink
     ObfusMemParams params;
     const AddressMap &addrMap;
     MacEngine mac;
-    /** SoA staging for all outbound frames of one call chain. */
-    BurstBatch burst;
     std::vector<ChannelState> channelState;
     Random junkRng;
     Random rekeyRng{0xa11ce000};

@@ -142,75 +142,6 @@ corruptHeaderBit(WireMessage &msg, uint64_t entropy)
     msg.cipherHeader[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
 }
 
-size_t
-FrameBatch::stageHeaderFrame(const crypto::Block128 &hdr_pad,
-                             const WireHeader &hdr, uint64_t mac_counter)
-{
-    size_t slot = hdrs.size();
-    hdrs.push_back(hdr);
-    macCtrs.push_back(mac_counter);
-    headerPads.push_back(hdr_pad);
-    return slot;
-}
-
-size_t
-FrameBatch::stageDataFrame(const crypto::Block128 &hdr_pad,
-                           const crypto::Block128 payload_pads[4],
-                           const WireHeader &hdr, const DataBlock &payload,
-                           uint64_t mac_counter)
-{
-    size_t slot = hdrs.size();
-    hdrs.push_back(hdr);
-    macCtrs.push_back(mac_counter);
-    headerPads.push_back(hdr_pad);
-    dataSlots.push_back(static_cast<uint32_t>(slot));
-    payloads.push_back(payload);
-    auto &pads = payloadPads.emplace_back();
-    std::copy_n(payload_pads, 4, pads.data());
-    return slot;
-}
-
-void
-FrameBatch::seal(OBF_SECRET const crypto::Md5Digest *macs,
-                 WireMessage *out)
-{
-    const size_t n = hdrs.size();
-
-    // Encrypt lane: pack + XOR every header back to back.
-    for (size_t i = 0; i < n; ++i) {
-        out[i] = WireMessage{};
-        out[i].cipherHeader =
-            encryptHeaderWithPad(headerPads[i], hdrs[i]);
-    }
-
-    // Payload lane: XOR every staged payload with its four pads.
-    for (size_t j = 0; j < dataSlots.size(); ++j) {
-        WireMessage &m = out[dataSlots[j]];
-        m.hasData = true;
-        m.cipherData =
-            cryptPayloadWithPads(payloadPads[j].data(), payloads[j]);
-    }
-
-    // MAC lane: attach the batch-computed tags.
-    if (macs) {
-        for (size_t i = 0; i < n; ++i)
-            attachMac(out[i], macs[i]);
-    }
-
-    clear();
-}
-
-void
-FrameBatch::clear()
-{
-    hdrs.clear();
-    macCtrs.clear();
-    headerPads.clear();
-    dataSlots.clear();
-    payloads.clear();
-    payloadPads.clear();
-}
-
 namespace {
 
 /** Sanity magic marking a payload as a handshake chunk. */

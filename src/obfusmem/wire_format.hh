@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "crypto/ctr_mode.hh"
 #include "crypto/md5.hh"
@@ -155,17 +154,18 @@ DataBlock cryptPayloadWithPads(const crypto::Block128 pads[4],
 // the normal protocol AND the recovery/re-key control plane -- must
 // construct frames through these builders so a frame's wire shape
 // cannot depend on what it carries (enforced by the wire-shape repo
-// lint rule).
+// lint rule). A built frame is ciphertext bound for the bus, exactly
+// what a bus snooper records, so it is public.
 
 /** Build a header-only frame (the "read" half of a group). */
-WireMessage makeHeaderMessage(const crypto::Block128 &hdr_pad,
-                              const WireHeader &hdr);
+OBF_PUBLIC WireMessage makeHeaderMessage(const crypto::Block128 &hdr_pad,
+                                         const WireHeader &hdr);
 
 /** Build a header + full-payload frame (the "write" half). */
-WireMessage makeDataMessage(const crypto::Block128 &hdr_pad,
-                            const crypto::Block128 payload_pads[4],
-                            const WireHeader &hdr,
-                            const DataBlock &payload);
+OBF_PUBLIC WireMessage
+makeDataMessage(const crypto::Block128 &hdr_pad,
+                const crypto::Block128 payload_pads[4],
+                const WireHeader &hdr, const DataBlock &payload);
 
 /** Attach an authentication tag to a built frame. */
 void attachMac(WireMessage &msg, const crypto::Md5Digest &digest);
@@ -175,70 +175,6 @@ void attachMac(WireMessage &msg, const crypto::Md5Digest &digest);
  * for an in-flight corruption; `entropy` selects the bit).
  */
 void corruptHeaderBit(WireMessage &msg, uint64_t entropy);
-
-// --- Structure-of-arrays frame staging ------------------------------
-//
-// The batch pipeline's front half. Instead of building each frame to
-// completion before touching the next (header XOR, payload XOR, MAC
-// attach interleaved per message), a FrameBatch keeps each field of
-// the staged frames in its own contiguous lane and seals the whole
-// batch in stage-wise passes: one pass packs and XORs every header,
-// one pass XORs every payload, one pass attaches every MAC. The
-// headers() / macCounters() lanes feed MacEngine::computeBatch so the
-// tags for the whole batch come out of the vectorized MD5 lanes in
-// one call.
-//
-// FrameBatch lives here, next to the scalar builders, because it is
-// the only other place allowed to assemble a WireMessage: sealing
-// emits the exact same two frame shapes, so the wire-shape lint
-// allowlist stays a single file.
-
-class FrameBatch
-{
-  public:
-    /** Stage a header-only frame; returns its slot index. */
-    size_t stageHeaderFrame(const crypto::Block128 &hdr_pad,
-                            const WireHeader &hdr, uint64_t mac_counter);
-
-    /** Stage a header + payload frame; returns its slot index. */
-    size_t stageDataFrame(const crypto::Block128 &hdr_pad,
-                          const crypto::Block128 payload_pads[4],
-                          const WireHeader &hdr, const DataBlock &payload,
-                          uint64_t mac_counter);
-
-    size_t size() const { return hdrs.size(); }
-    bool empty() const { return hdrs.empty(); }
-
-    /** Header lane, in slot order — MacEngine::computeBatch input. */
-    const WireHeader *headers() const { return hdrs.data(); }
-    /** MAC-counter lane, in slot order. */
-    const uint64_t *macCounters() const { return macCtrs.data(); }
-
-    /**
-     * Seal every staged frame into `out[0..size())` in stage-wise
-     * passes (encrypt lane, payload lane, MAC lane) and clear the
-     * batch. `macs` holds one tag per slot, or nullptr when the
-     * channel runs without authentication. Frames are bit-identical
-     * to the scalar makeHeaderMessage / makeDataMessage + attachMac
-     * sequence.
-     */
-    void seal(OBF_SECRET const crypto::Md5Digest *macs,
-              WireMessage *out);
-
-    void clear();
-
-  private:
-    std::vector<WireHeader> hdrs;
-    std::vector<uint64_t> macCtrs;
-    OBF_SECRET std::vector<crypto::Block128> headerPads;
-    // The payload lanes are dense: one entry per *data* frame (plus
-    // the owning slot index), not one per slot. Header-only frames
-    // would otherwise pay 128 bytes of zero-initialization each for
-    // payload state they never use.
-    std::vector<uint32_t> dataSlots;
-    OBF_SECRET std::vector<DataBlock> payloads;
-    OBF_SECRET std::vector<std::array<crypto::Block128, 4>> payloadPads;
-};
 
 // --- Re-key handshake payload codec ---------------------------------
 //

@@ -35,15 +35,23 @@
 namespace obfusmem {
 
 /**
+ * Largest OBFUSMEM_PAD_PREFETCH depth in pad groups. Every counter
+ * stream of every controller holds a ring this deep, so the bound
+ * keeps a typo from reserving gigabytes per ring.
+ */
+constexpr unsigned maxPadPrefetchDepth = 1024;
+
+/**
  * Process-wide default prefetch depth in pad groups, read once from
  * OBFUSMEM_PAD_PREFETCH (0 disables prefetching; the traffic on the
- * wire is identical either way).
+ * wire is identical either way; above maxPadPrefetchDepth warns and
+ * keeps the default).
  */
 inline unsigned
 defaultPadPrefetchDepth()
 {
-    static const unsigned depth =
-        static_cast<unsigned>(env::u64("OBFUSMEM_PAD_PREFETCH", 8));
+    static const unsigned depth = static_cast<unsigned>(
+        env::u64("OBFUSMEM_PAD_PREFETCH", 8, maxPadPrefetchDepth));
     return depth;
 }
 

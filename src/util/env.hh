@@ -46,10 +46,12 @@ flag(const char *name)
 /**
  * Unsigned integer knob. Warns (once per call site pattern is not
  * tracked; callers latch the result) and returns @p def on a value
- * that is not a plain non-negative decimal number.
+ * that is not a plain non-negative decimal number, or that exceeds
+ * @p max. Callers pass the largest value their use can hold: the
+ * range of the type they store it in, or a documented capacity.
  */
 inline uint64_t
-u64(const char *name, uint64_t def)
+u64(const char *name, uint64_t def, uint64_t max = UINT64_MAX)
 {
     const char *v = raw(name);
     if (!v)
@@ -65,6 +67,11 @@ u64(const char *name, uint64_t def)
         || errno == ERANGE) {
         warn(name, "=\"", v, "\" is not a valid number; using default ",
              def);
+        return def;
+    }
+    if (parsed > max) {
+        warn(name, "=", v, " is above its maximum ", max,
+             "; using default ", def);
         return def;
     }
     return parsed;

@@ -361,7 +361,6 @@ implAvailable(AesImpl impl)
 {
     switch (impl) {
       case AesImpl::Aesni:
-      case AesImpl::Aesni4:
         return Aes128::aesniAvailable();
       case AesImpl::Vaes:
         return Aes128::vaesAvailable();
@@ -370,10 +369,9 @@ implAvailable(AesImpl impl)
     }
 }
 
-/** The lanes the SoA pipeline dispatches across, widest last. */
+/** The lanes the pad generator dispatches across, widest last. */
 constexpr AesImpl kAllImpls[] = {
-    AesImpl::Ttable, AesImpl::Reference, AesImpl::Aesni,
-    AesImpl::Aesni4, AesImpl::Vaes,
+    AesImpl::Ttable, AesImpl::Reference, AesImpl::Aesni, AesImpl::Vaes,
 };
 
 } // namespace
@@ -449,6 +447,5 @@ TEST(AesCtr, GenPadsCrossImplEquivalence)
 
 TEST(Aes128, WideImplNamesStable)
 {
-    EXPECT_STREQ(aesImplName(AesImpl::Aesni4), "aesni4");
     EXPECT_STREQ(aesImplName(AesImpl::Vaes), "vaes");
 }

@@ -12,7 +12,6 @@
 #include "crypto/bytes.hh"
 #include "crypto/hmac.hh"
 #include "crypto/md5.hh"
-#include "crypto/md5_lanes.hh"
 #include "crypto/sha1.hh"
 
 using namespace obfusmem::crypto;
@@ -209,52 +208,11 @@ TEST(SecureZero, ClearsBuffer)
         EXPECT_EQ(byte, 0u);
 }
 
-TEST(Md5Lanes, BatchMatchesScalarAcrossGroupBoundaries)
-{
-    // md5ShortBatch must be bit-identical to the scalar context for
-    // every batch size, in particular around the 8/16/32 grouping
-    // boundaries where the dispatch switches between the paired and
-    // single wide kernels and the scalar tail.
-    const size_t len = 17; // the MAC preimage length
-    for (size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 24u,
-                     31u, 32u, 33u, 47u, 48u, 63u, 64u, 65u}) {
-        std::vector<uint8_t> msgs(n * len);
-        for (size_t i = 0; i < msgs.size(); ++i)
-            msgs[i] = static_cast<uint8_t>(i * 131 + n);
-        std::vector<Md5Digest> got(n);
-        md5ShortBatch(msgs.data(), len, len, n, got.data());
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(got[i], Md5::digest(msgs.data() + i * len, len))
-                << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(Md5Lanes, EveryShortLength)
-{
-    // Lengths 0..55 cover all four boundary-word remainders and the
-    // longest message that still pads into one compression block.
-    // The stride is the exact message length, so any read past a
-    // message's end would read the neighbour and diverge.
-    const size_t n = 2 * md5LaneWidthZmm + md5LaneWidth + 3;
-    for (size_t len = 0; len <= md5ShortMax; ++len) {
-        const size_t stride = len ? len : 1;
-        std::vector<uint8_t> msgs(n * stride + 1);
-        for (size_t i = 0; i < msgs.size(); ++i)
-            msgs[i] = static_cast<uint8_t>(i * 37 + len);
-        std::vector<Md5Digest> got(n);
-        md5ShortBatch(msgs.data(), stride, len, n, got.data());
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(got[i],
-                      Md5::digest(msgs.data() + i * stride, len))
-                << "len=" << len << " i=" << i;
-    }
-}
-
-TEST(Md5Lanes, RacDigestMatchesThePackedPreimage)
+TEST(Md5Rac, MatchesTheContextOnThePackedPreimage)
 {
     // md5Rac packs its message words straight from r, a and c; it must
-    // hash exactly the bytes md5PackRac lays out, whose layout is
-    // pinned here byte by byte.
+    // hash exactly the 17 bytes r | le64(a) | le64(c). The values put
+    // set bits on every word boundary of the packing.
     const uint64_t values[] = {0, ~0ull, 0x0102030405060708ull,
                                0xff00000000000000ull, 0xffull,
                                0x00000000ff000000ull};
@@ -262,28 +220,13 @@ TEST(Md5Lanes, RacDigestMatchesThePackedPreimage)
         for (uint64_t a : values) {
             for (uint64_t c : values) {
                 uint8_t packed[md5RacLen];
-                md5PackRac(static_cast<uint8_t>(r), a, c, packed);
-                EXPECT_EQ(packed[0], r);
-                for (int i = 0; i < 8; ++i) {
-                    EXPECT_EQ(packed[1 + i],
-                              static_cast<uint8_t>(a >> (8 * i)));
-                    EXPECT_EQ(packed[9 + i],
-                              static_cast<uint8_t>(c >> (8 * i)));
-                }
+                packed[0] = static_cast<uint8_t>(r);
+                storeLe64(packed + 1, a);
+                storeLe64(packed + 9, c);
                 EXPECT_EQ(md5Rac(static_cast<uint8_t>(r), a, c),
                           Md5::digest(packed, sizeof(packed)))
                     << r << " " << a << " " << c;
             }
         }
-    }
-}
-
-TEST(Md5Lanes, AvailabilityIsConsistent)
-{
-    // md5LanesAvailable() promises a wide kernel; the compiled-in
-    // probes must back it up.
-    if (md5LanesAvailable()) {
-        EXPECT_TRUE(detail::md5LanesAvx2CompiledIn()
-                    || detail::md5LanesAvx512CompiledIn());
     }
 }

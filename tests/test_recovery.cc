@@ -406,3 +406,29 @@ TEST(Recovery, FaultKnobsReadFromEnvironment)
     EXPECT_DOUBLE_EQ(p.dupProb, 0.0);
     EXPECT_TRUE(p.any());
 }
+
+TEST(Recovery, OutOfRangeKnobsKeepTheirDefaults)
+{
+    // Above their field's range the knobs used to be truncated (the
+    // unsigned counts) or to wrap once scaled to ticks (the ns
+    // timeouts). Each now warns and keeps its default.
+    setenv("OBFUSMEM_RETRY_MAX", "4294967296", 1);
+    setenv("OBFUSMEM_RESYNC_WINDOW", "4294967295", 1);
+    setenv("OBFUSMEM_REKEY_MAX", "4294967297", 1);
+    setenv("OBFUSMEM_RETRY_TIMEOUT_NS", "18446744073709552", 1);
+    setenv("OBFUSMEM_FAULT_DELAY_NS", "18446744073709552", 1);
+    RecoveryParams rp = RecoveryParams::fromEnv();
+    FaultInjector::Params fp = FaultInjector::Params::fromEnv();
+    unsetenv("OBFUSMEM_RETRY_MAX");
+    unsetenv("OBFUSMEM_RESYNC_WINDOW");
+    unsetenv("OBFUSMEM_REKEY_MAX");
+    unsetenv("OBFUSMEM_RETRY_TIMEOUT_NS");
+    unsetenv("OBFUSMEM_FAULT_DELAY_NS");
+
+    const RecoveryParams def;
+    EXPECT_EQ(rp.retryMax, def.retryMax);
+    EXPECT_EQ(rp.resyncWindowGroups, def.resyncWindowGroups);
+    EXPECT_EQ(rp.rekeyMaxAttempts, def.rekeyMaxAttempts);
+    EXPECT_EQ(rp.retryTimeout, def.retryTimeout);
+    EXPECT_EQ(fp.delayTicks, 100 * tickPerNs);
+}

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/types.hh"
 #include "util/bitops.hh"
 #include "util/env.hh"
 #include "util/random.hh"
@@ -278,6 +279,31 @@ TEST(Env, U64RejectsMalformedValues)
         setenv("OBFUSMEM_TEST_KNOB", bad, 1);
         EXPECT_EQ(env::u64("OBFUSMEM_TEST_KNOB", 7), 7u) << bad;
     }
+
+    // A value above the caller's bound warn-and-defaults as well,
+    // instead of being truncated or wrapped by the caller; the bound
+    // itself is accepted.
+    struct Bounded
+    {
+        const char *value;
+        uint64_t max;
+    };
+    for (const Bounded &b : {
+             Bounded{"1025", 1024},
+             Bounded{"1000000000", 1024},
+             Bounded{"4294967296", UINT32_MAX},
+             Bounded{"18446744073709552", UINT64_MAX / tickPerNs},
+         }) {
+        setenv("OBFUSMEM_TEST_KNOB", b.value, 1);
+        EXPECT_EQ(env::u64("OBFUSMEM_TEST_KNOB", 7, b.max), 7u)
+            << b.value;
+    }
+    setenv("OBFUSMEM_TEST_KNOB", "1024", 1);
+    EXPECT_EQ(env::u64("OBFUSMEM_TEST_KNOB", 7, 1024), 1024u);
+    setenv("OBFUSMEM_TEST_KNOB", "18446744073709551", 1);
+    EXPECT_EQ(env::u64("OBFUSMEM_TEST_KNOB", 7, UINT64_MAX / tickPerNs),
+              UINT64_MAX / tickPerNs);
+
     unsetenv("OBFUSMEM_TEST_KNOB");
     EXPECT_EQ(env::u64("OBFUSMEM_TEST_KNOB", 7), 7u);
 }

@@ -234,54 +234,20 @@ macCases()
     return cases;
 }
 
-/** Run computeBatch over `n` cases starting at `first`. */
-std::vector<Md5Digest>
-batchMacs(const MacEngine &mac, const MacCase *first, size_t n)
-{
-    std::vector<WireHeader> hdrs(n);
-    std::vector<uint64_t> ctrs(n);
-    for (size_t i = 0; i < n; ++i) {
-        hdrs[i] = first[i].hdr;
-        ctrs[i] = first[i].counter;
-    }
-    std::vector<Md5Digest> out(n);
-    mac.computeBatch(hdrs.data(), ctrs.data(), out.data(), n);
-    return out;
-}
-
 } // namespace
 
 TEST(MacEngine, EveryPathMatchesTheMd5Oracle)
 {
-    // compute, verify and computeBatch all reach MD5 through the
-    // short-message lanes; each must equal Md5::digest of the packed
-    // preimage on every edge value and random case.
+    // compute and verify both reach MD5 through the one-block r|a|c
+    // kernel; each must agree with Md5::digest of the packed preimage
+    // on every edge value and random case.
     MacEngine mac(MacEngine::Params{});
     const std::vector<MacCase> cases = macCases();
-    const std::vector<Md5Digest> batch =
-        batchMacs(mac, cases.data(), cases.size());
     for (size_t i = 0; i < cases.size(); ++i) {
         const MacCase &mc = cases[i];
         const Md5Digest want = oracleMac(mc.hdr, mc.counter);
         EXPECT_EQ(mac.compute(mc.hdr, mc.counter), want) << i;
         EXPECT_TRUE(mac.verify(mc.hdr, mc.counter, want)) << i;
-        EXPECT_EQ(batch[i], want) << i;
-    }
-}
-
-TEST(MacEngine, BatchMatchesComputeAtEverySize)
-{
-    // Sizes 0..40 cross the 8-, 16- and 32-lane group boundaries and
-    // every tail length between them. Each size starts at a different
-    // case so the sizes do not share their messages.
-    MacEngine mac(MacEngine::Params{});
-    const std::vector<MacCase> cases = macCases();
-    for (size_t n = 0; n <= 40; ++n) {
-        const MacCase *first = cases.data() + cases.size() - 41 - n;
-        const std::vector<Md5Digest> batch = batchMacs(mac, first, n);
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(batch[i], mac.compute(first[i].hdr, first[i].counter))
-                << "n=" << n << " i=" << i;
     }
 }
 
@@ -329,77 +295,4 @@ TEST(MacEngine, EncryptAndMacIsFasterThanEncryptThenMac)
     EXPECT_LT(and_mac.receiverLatency(), then_mac.receiverLatency());
     // The serial mode pays the full 64-stage MD5 pipeline.
     EXPECT_EQ(then_mac.senderLatency(), 64 * 4 * tickPerNs);
-}
-
-TEST(FrameBatch, SealMatchesScalarBuilders)
-{
-    // The SoA staging + stage-wise seal must emit frames bit-identical
-    // to the per-message builders, with header-only and data frames
-    // interleaved in arbitrary order (the payload lanes are dense, so
-    // slot bookkeeping has to survive mixing).
-    AesCtr cipher(testKey(), 9);
-    MacEngine mac(MacEngine::Params{});
-    Random rng(77);
-
-    FrameBatch frames;
-    std::vector<WireMessage> expect;
-    uint64_t ctr = 5000;
-    for (int i = 0; i < 23; ++i) {
-        WireHeader hdr;
-        hdr.cmd = (i % 3 == 1) ? MemCmd::Write : MemCmd::Read;
-        hdr.addr = 0x1000u * i;
-        hdr.tag = static_cast<uint16_t>(i);
-        if (i % 3 == 0) {
-            Block128 pad = cipher.pad(ctr);
-            frames.stageHeaderFrame(pad, hdr, ctr);
-            WireMessage m = makeHeaderMessage(pad, hdr);
-            attachMac(m, mac.compute(hdr, ctr));
-            expect.push_back(m);
-            ctr += 1;
-        } else {
-            DataBlock payload;
-            rng.fillBytes(payload.data(), payload.size());
-            Block128 pads[5];
-            cipher.genPads(ctr, pads, 5);
-            frames.stageDataFrame(pads[0], &pads[1], hdr, payload,
-                                  ctr);
-            WireMessage m =
-                makeDataMessage(pads[0], &pads[1], hdr, payload);
-            attachMac(m, mac.compute(hdr, ctr));
-            expect.push_back(m);
-            ctr += 5;
-        }
-    }
-
-    const size_t n = frames.size();
-    ASSERT_EQ(n, expect.size());
-    std::vector<Md5Digest> macs(n);
-    mac.computeBatch(frames.headers(), frames.macCounters(),
-                     macs.data(), n);
-    std::vector<WireMessage> got(n);
-    frames.seal(macs.data(), got.data());
-    EXPECT_TRUE(frames.empty());
-
-    for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got[i].cipherHeader, expect[i].cipherHeader) << i;
-        EXPECT_EQ(got[i].hasData, expect[i].hasData) << i;
-        EXPECT_EQ(got[i].cipherData, expect[i].cipherData) << i;
-        EXPECT_EQ(got[i].hasMac, expect[i].hasMac) << i;
-        EXPECT_EQ(got[i].mac, expect[i].mac) << i;
-    }
-}
-
-TEST(FrameBatch, SealWithoutMacsLeavesFramesUnauthenticated)
-{
-    AesCtr cipher(testKey(), 9);
-    FrameBatch frames;
-    WireHeader hdr;
-    hdr.cmd = MemCmd::Read;
-    hdr.addr = 0x40;
-    Block128 pad = cipher.pad(1);
-    frames.stageHeaderFrame(pad, hdr, 1);
-    WireMessage got;
-    frames.seal(nullptr, &got);
-    EXPECT_FALSE(got.hasMac);
-    EXPECT_EQ(got.cipherHeader, makeHeaderMessage(pad, hdr).cipherHeader);
 }

@@ -29,16 +29,13 @@ know about:
                   `pkt` capture silently reintroduces a copy (and a
                   heap allocation) per hop. Capture with std::move, by
                   reference, or carry a PacketPool handle.
-  aes-dispatch    a direct Aes128 object, or a raw MD5 lane-kernel
-                  call, in src/ outside src/crypto/: raw block-cipher
-                  use bypasses the runtime AES implementation dispatch
-                  (vaes/aesni4/aesni/ttable/reference) and the
-                  counter-mode pad plumbing that the prefetch pipeline
-                  and the trace auditor's pad ledgers hang off, and a
-                  direct md5Lanes*Compress* call skips the latched
-                  width dispatch. Consume AesCtr / PadPrefetcher /
-                  IvPadMemo / md5ShortBatch instead; nested types
-                  (Aes128::Key) stay fine.
+  aes-dispatch    a direct Aes128 object in src/ outside src/crypto/:
+                  raw block-cipher use bypasses the runtime AES
+                  implementation dispatch (vaes/aesni/ttable/reference)
+                  and the counter-mode pad plumbing that the prefetch
+                  pipeline and the trace auditor's pad ledgers hang
+                  off. Consume AesCtr / PadPrefetcher / IvPadMemo
+                  instead; nested types (Aes128::Key) stay fine.
   wire-shape      an assignment to a WireMessage field (cipherHeader,
                   hasData, cipherData, hasMac, mac) in src/ outside
                   src/obfusmem/wire_format.*: every frame on the
@@ -101,9 +98,6 @@ PKT_NAME_RE = re.compile(r"\b\w*pkt\w*\b", re.IGNORECASE)
 # `Aes128` as the raw cipher type (constructed, declared, or passed),
 # as opposed to a nested type like Aes128::Key / Aes128::RoundKeys.
 AES_DIRECT_RE = re.compile(r"\b(?:crypto\s*::\s*)?Aes128\b(?!\s*::)")
-# A raw lane-kernel entry point (md5LanesAvx2Compress8,
-# md5LanesAvx512Compress16x2, ...) outside the dispatch's home TU.
-LANE_KERNEL_RE = re.compile(r"\bmd5Lanes\w*Compress\w*\s*\(")
 AES_ALLOWED = ("src/crypto/",)
 COMMENT_RE = re.compile(r"^\s*(?://|\*|/\*)")
 
@@ -240,12 +234,6 @@ def lint_aes_dispatch(rel, lines):
                 "runtime AES dispatch and pad-prefetch plumbing; go " \
                 "through crypto::AesCtr (nested types like " \
                 "Aes128::Key are fine)"
-        if LANE_KERNEL_RE.search(line):
-            yield no, "aes-dispatch", \
-                "direct MD5 lane-kernel call outside src/crypto/ " \
-                "bypasses the latched width dispatch (and its " \
-                "CPU/build availability checks); go through " \
-                "crypto::md5ShortBatch"
 
 
 def lint_wire_shape(rel, lines):
@@ -338,11 +326,6 @@ SELF_TEST_CASES = [
      "aes-dispatch"),
     ("src/obfusmem/mem_side.cc",
      "    Aes128 cipher(session_key);\n",
-     "aes-dispatch"),
-    # Calling a width-specific kernel directly skips the latched
-    # dispatch and its availability probing.
-    ("src/obfusmem/mac_engine.cc",
-     "    detail::md5LanesAvx512Compress16(words, state);\n",
      "aes-dispatch"),
     # A hand-rolled frame skips the fixed-shape builders; a recovery
     # path doing this would leak through the obliviousness argument.

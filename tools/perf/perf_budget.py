@@ -5,9 +5,9 @@ The benches emit one JSONL row per measurement when OBFUSMEM_BENCH_JSON
 is set; every binary also appends a `total_wall` summary row covering
 its whole lifetime (bench_common.hh Session). This script compares the
 rows named in the checked-in baseline against a fresh run and fails on
-regressions past the tolerance, so a change that quietly serializes the
-batch pipeline or regresses the event kernel fails in CI rather than in
-the next paper-figure sweep.
+regressions past the tolerance, so a change that quietly slows the
+protection path or regresses the event kernel fails in CI rather than
+in the next paper-figure sweep.
 
 Usage:
     perf_budget.py run.jsonl [more.jsonl ...] [--baseline FILE]
