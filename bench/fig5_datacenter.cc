@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "bench_common.hh"
 #include "system/topology.hh"
@@ -162,6 +163,18 @@ scalingMode(unsigned shards)
     return 0;
 }
 
+int
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--scaling] [--shards N] "
+                 "[--trace-out PATH]\n"
+                 "  --shards N  worker shards, 0 = one per hardware "
+                 "thread\n",
+                 argv0);
+    return 2;
+}
+
 } // namespace
 
 int
@@ -180,23 +193,23 @@ main(int argc, char **argv)
             scaling = true;
         } else if (!std::strcmp(argv[i], "--shards")
                    && i + 1 < argc) {
-            shards = static_cast<unsigned>(std::atoi(argv[++i]));
+            // Same values and meaning as OBFUSMEM_SIM_SHARDS.
+            const std::optional<uint64_t> n = env::parseU64(argv[++i]);
+            if (!n)
+                return usage(argv[0]);
+            shards = env::workers(*n);
         } else if (!std::strcmp(argv[i], "--trace-out")
                    && i + 1 < argc) {
             trace_path = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--scaling] "
-                         "[--shards N] [--trace-out PATH]\n",
-                         argv[0]);
-            return 2;
+            return usage(argv[0]);
         }
     }
 
     if (!trace_path.empty())
         return traceMode(trace_path, shards);
     if (scaling)
-        return scalingMode(shards ? shards : 1);
+        return scalingMode(shards);
 
     RackShape shape = shapeFromEnv(quick);
     std::printf("\n=== Figure 5 at rack scale: %u sockets, %u "

@@ -11,13 +11,17 @@
  * matrix.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "system/system.hh"
+#include "util/env.hh"
 
 using namespace obfusmem;
 
@@ -106,6 +110,18 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    // A numeric option's value: a plain decimal no larger than @p max.
+    auto next_num = [&](int &i, uint64_t max) -> uint64_t {
+        const char *opt = argv[i];
+        const char *v = next_arg(i);
+        const std::optional<uint64_t> n = env::parseU64(v);
+        if (!n || *n > max) {
+            std::cerr << "bad value for " << opt << ": " << v << "\n";
+            usage(argv[0]);
+            std::exit(2);
+        }
+        return *n;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -125,12 +141,11 @@ main(int argc, char **argv)
             }
         } else if (arg == "--channels") {
             cfg.channels =
-                static_cast<unsigned>(std::stoul(next_arg(i)));
+                static_cast<unsigned>(next_num(i, UINT_MAX));
         } else if (arg == "--cores") {
-            cfg.cores =
-                static_cast<unsigned>(std::stoul(next_arg(i)));
+            cfg.cores = static_cast<unsigned>(next_num(i, UINT_MAX));
         } else if (arg == "--instr") {
-            cfg.instrPerCore = std::stoull(next_arg(i));
+            cfg.instrPerCore = next_num(i, UINT64_MAX);
         } else if (arg == "--benchmark") {
             cfg.benchmark = next_arg(i);
         } else if (arg == "--uniform") {

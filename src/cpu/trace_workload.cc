@@ -5,9 +5,13 @@
 
 #include "cpu/trace_workload.hh"
 
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace obfusmem {
@@ -26,20 +30,30 @@ parseTrace(std::istream &in)
             view = view.substr(0, hash);
         std::istringstream fields{std::string(view)};
 
-        uint64_t gap;
-        std::string cmd, addr_hex;
-        if (!(fields >> gap))
+        std::string gap_dec, cmd, addr_hex;
+        if (!(fields >> gap_dec))
             continue; // blank/comment line
         fatal_if(!(fields >> cmd >> addr_hex),
                  "trace line ", line_no, ": expected <gap> <R|W> "
                  "<hexaddr>");
+        const std::optional<uint64_t> gap = env::parseU64(gap_dec);
+        fatal_if(!gap || *gap > UINT32_MAX, "trace line ", line_no,
+                 ": gap \"", gap_dec,
+                 "\" is not a decimal instruction count below 2^32");
         fatal_if(cmd != "R" && cmd != "W", "trace line ", line_no,
                  ": command must be R or W");
+        std::string_view digits = addr_hex;
+        if (digits.size() > 2 && digits[0] == '0'
+            && (digits[1] == 'x' || digits[1] == 'X'))
+            digits.remove_prefix(2);
+        const std::optional<uint64_t> addr = env::parseU64(digits, 16);
+        fatal_if(!addr, "trace line ", line_no, ": address \"",
+                 addr_hex, "\" is not a hex number");
 
         MemOp op;
-        op.gapInstrs = static_cast<uint32_t>(gap);
+        op.gapInstrs = static_cast<uint32_t>(*gap);
         op.isStore = cmd == "W";
-        op.addr = std::strtoull(addr_hex.c_str(), nullptr, 16);
+        op.addr = *addr;
         op.dependent = false;
         op.stream = false;
 

@@ -14,7 +14,6 @@
 #ifndef OBFUSMEM_RUNNER_SWEEP_HH
 #define OBFUSMEM_RUNNER_SWEEP_HH
 
-#include <exception>
 #include <type_traits>
 #include <vector>
 
@@ -42,7 +41,7 @@ unsigned jobsFromEnv();
  * default-constructible (the output vector is pre-sized so each job
  * writes its own slot without synchronization). The first exception
  * thrown by any job is rethrown on the calling thread after all jobs
- * finish.
+ * finish (ThreadPool::wait()).
  */
 template <typename Fn>
 auto
@@ -58,24 +57,10 @@ parallelIndexMap(size_t n, unsigned jobs, Fn &&fn)
         return results;
     }
 
-    std::vector<std::exception_ptr> errors(n);
-    {
-        ThreadPool pool(jobs);
-        for (size_t i = 0; i < n; ++i) {
-            pool.submit([&fn, &results, &errors, i] {
-                try {
-                    results[i] = fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-    }
-    for (auto &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+    ThreadPool pool(jobs);
+    for (size_t i = 0; i < n; ++i)
+        pool.submit([&fn, &results, i] { results[i] = fn(i); });
+    pool.wait();
     return results;
 }
 

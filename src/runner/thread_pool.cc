@@ -5,6 +5,8 @@
 
 #include "runner/thread_pool.hh"
 
+#include <utility>
+
 #include "util/assert.hh"
 
 namespace obfusmem {
@@ -48,6 +50,8 @@ ThreadPool::wait()
     std::unique_lock<std::mutex> lock(mtx);
     cvIdle.wait(lock,
                 [this] { return queue.empty() && inFlight == 0; });
+    if (std::exception_ptr err = std::exchange(firstError, nullptr))
+        std::rethrow_exception(err);
 }
 
 void
@@ -68,73 +72,9 @@ ThreadPool::workerLoop()
             queue.pop_front();
             ++inFlight;
         }
-        job();
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            --inFlight;
-            if (queue.empty() && inFlight == 0)
-                cvIdle.notify_all();
-        }
-    }
-}
-
-WorkerGroup::WorkerGroup(unsigned n)
-{
-    if (n == 0)
-        n = 1;
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
-}
-
-WorkerGroup::~WorkerGroup()
-{
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        stopping = true;
-    }
-    cvRound.notify_all();
-    for (auto &w : workers)
-        w.join();
-}
-
-void
-WorkerGroup::runRound(const std::function<void(unsigned)> &fn)
-{
-    OBF_ASSERT(fn, "null round function");
-    std::unique_lock<std::mutex> lock(mtx);
-    OBF_ASSERT(running == 0 && roundFn == nullptr,
-               "reentrant WorkerGroup::runRound");
-    roundFn = &fn;
-    running = size();
-    firstError = nullptr;
-    ++generation;
-    cvRound.notify_all();
-    cvDone.wait(lock, [this] { return running == 0; });
-    roundFn = nullptr;
-    if (firstError)
-        std::rethrow_exception(firstError);
-}
-
-void
-WorkerGroup::workerLoop(unsigned index)
-{
-    uint64_t seen = 0;
-    for (;;) {
-        const std::function<void(unsigned)> *fn;
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            cvRound.wait(lock, [this, seen] {
-                return stopping || generation != seen;
-            });
-            if (stopping)
-                return;
-            seen = generation;
-            fn = roundFn;
-        }
         std::exception_ptr err;
         try {
-            (*fn)(index);
+            job();
         } catch (...) {
             err = std::current_exception();
         }
@@ -142,8 +82,9 @@ WorkerGroup::workerLoop(unsigned index)
             std::unique_lock<std::mutex> lock(mtx);
             if (err && !firstError)
                 firstError = err;
-            if (--running == 0)
-                cvDone.notify_all();
+            --inFlight;
+            if (queue.empty() && inFlight == 0)
+                cvIdle.notify_all();
         }
     }
 }

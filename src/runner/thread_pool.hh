@@ -1,10 +1,12 @@
 /**
  * @file
  * A minimal fixed-size thread pool for running independent simulation
- * jobs. The simulator itself is single-threaded by design (one
- * EventQueue per System); the pool exists to run *many* self-contained
- * Systems concurrently during parameter sweeps, where each job owns
- * its System outright and shares nothing mutable with its siblings.
+ * jobs. Each System is single-threaded by design (one EventQueue per
+ * System); the pool runs *many* of them concurrently: whole Systems
+ * during parameter sweeps, where each job owns its System outright
+ * and shares nothing mutable with its siblings, and the shards of the
+ * sharded kernel, one job per shard in each epoch
+ * (sim/sharded_kernel.hh).
  */
 
 #ifndef OBFUSMEM_RUNNER_THREAD_POOL_HH
@@ -13,6 +15,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -41,10 +44,18 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue a job. Must not be called after wait() returned. */
+    /**
+     * Enqueue a job. The pool is reusable: submit() may be called
+     * again after wait() returned, as often as needed.
+     */
     void submit(std::function<void()> job);
 
-    /** Block until every submitted job has finished executing. */
+    /**
+     * Block until every submitted job has finished executing, then
+     * rethrow the first exception a job threw since the last wait(),
+     * if any. The pool's lock orders everything the jobs wrote before
+     * what the caller reads after wait() returns.
+     */
     void wait();
 
     unsigned threadCount() const
@@ -62,59 +73,7 @@ class ThreadPool
     std::vector<std::thread> workers;
     size_t inFlight = 0;
     bool stopping = false;
-};
-
-/**
- * Persistent round-based worker group — the ThreadPool generalized
- * for shard workers that rendezvous every epoch.
- *
- * ThreadPool's queue+condvar shape is wrong for a sharded simulation
- * kernel: the kernel needs the *same* worker to own the same shard
- * across tens of thousands of epochs (shard state is thread-confined
- * by construction), with a full barrier between epochs. WorkerGroup
- * keeps N workers parked on a generation counter; runRound(fn)
- * publishes fn, wakes everyone, runs fn(worker_index) exactly once
- * per worker, and returns when the last worker finishes. The
- * mutex/condvar handshake doubles as the memory barrier the epoch
- * exchange protocol relies on: everything a worker wrote during
- * round R happens-before everything any worker reads in round R+1.
- */
-class WorkerGroup
-{
-  public:
-    /** Spin up @p n persistent workers (at least one). */
-    explicit WorkerGroup(unsigned n);
-
-    /** Joins all workers (any round in progress completes first). */
-    ~WorkerGroup();
-
-    WorkerGroup(const WorkerGroup &) = delete;
-    WorkerGroup &operator=(const WorkerGroup &) = delete;
-
-    /**
-     * Run fn(i) on every worker i in [0, size()) and block until all
-     * return. The first exception thrown by any worker is rethrown
-     * here after the round completes. Must not be called reentrantly.
-     */
-    void runRound(const std::function<void(unsigned)> &fn);
-
-    unsigned size() const
-    {
-        return static_cast<unsigned>(workers.size());
-    }
-
-  private:
-    void workerLoop(unsigned index);
-
-    std::mutex mtx;
-    std::condition_variable cvRound;  // workers wait for a new round
-    std::condition_variable cvDone;   // runRound waits for the join
-    const std::function<void(unsigned)> *roundFn = nullptr;
-    uint64_t generation = 0;
-    unsigned running = 0;
-    bool stopping = false;
-    std::exception_ptr firstError;
-    std::vector<std::thread> workers;
+    std::exception_ptr firstError; ///< for the next wait() to rethrow
 };
 
 } // namespace runner

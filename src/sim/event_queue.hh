@@ -5,7 +5,7 @@
  *
  * The hot path is allocation-free at steady state: events live in
  * pooled slab nodes (recycled through a free list) with the callback
- * capture stored inline in the node (InlineCallback), and ordering is
+ * capture stored inline in the node (InlineFunction), and ordering is
  * maintained by a timing wheel — a 2^16-slot bucket array covering the
  * near future in O(1) per event — backed by a binary min-heap overflow
  * tier for events beyond the wheel horizon. A runtime knob
@@ -24,7 +24,7 @@
 #include <queue>
 #include <vector>
 
-#include "sim/inline_callback.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 #include "util/stats.hh"
 
@@ -52,7 +52,7 @@ class EventQueue
      */
     static constexpr std::size_t callbackCapacity = 232;
 
-    using Callback = InlineCallback<callbackCapacity>;
+    using Callback = InlineFunction<void(), callbackCapacity>;
 
     EventQueue() : EventQueue(defaultImpl()) {}
     explicit EventQueue(EvqImpl impl);

@@ -1,11 +1,13 @@
 /**
  * @file
- * InlineFunction: InlineCallback generalized to arbitrary call
- * signatures. Same contract — move-only, type-erased, capture stored
- * in fixed inline bytes with no heap fallback — so hot-path
- * continuations (counter-fetch waiters, Merkle-walk resumptions) stop
- * paying a std::function allocation per hop and oversized captures
- * fail the build instead of silently regressing.
+ * InlineFunction: a move-only, type-erased callable with inline
+ * storage and no heap fallback. The event kernel stores its callbacks
+ * (`InlineFunction<void(), N>`) in pooled event nodes; keeping the
+ * capture inside the node instead of behind a std::function heap cell
+ * is what makes schedule()/step() allocation-free at steady state.
+ * Hot-path continuations (counter-fetch waiters, Merkle-walk
+ * resumptions) use other signatures for the same reason, and an
+ * oversized capture fails the build instead of silently regressing.
  */
 
 #ifndef OBFUSMEM_SIM_INLINE_FUNCTION_HH

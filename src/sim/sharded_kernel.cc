@@ -5,7 +5,10 @@
 
 #include "sim/sharded_kernel.hh"
 
+#include <algorithm>
+
 #include "runner/thread_pool.hh"
+#include "util/assert.hh"
 #include "util/env.hh"
 
 namespace obfusmem {
@@ -61,12 +64,9 @@ ShardedKernel::seal()
         shardOf[e] = e % shardCount;
         owned[e % shardCount].push_back(e);
     }
-    theRouter = std::make_unique<ShardRouter>(queues, shardOf,
-                                              shardCount);
-    if (statGroup)
-        theRouter->attachStats(*statGroup);
+    outboxes.resize(shardCount);
     if (shardCount > 1)
-        workers = std::make_unique<runner::WorkerGroup>(shardCount);
+        workers = std::make_unique<runner::ThreadPool>(shardCount);
     sealed = true;
 }
 
@@ -81,27 +81,53 @@ ShardedKernel::post(unsigned src, unsigned dst, Tick when,
              "cross-shard post at tick ", when,
              " violates the lookahead horizon ", curEpochEnd,
              " (link latency shorter than the epoch window?)");
+    OBF_DCHECK(sealed && src < queues.size() && dst < queues.size(),
+               "cross-shard post between unknown endpoints ", src,
+               " -> ", dst, " or before run()");
     OBF_DCHECK(tlsShard == shardOf[src],
                "post for endpoint ", src, " from the wrong shard");
-    theRouter->post(src, dst, when, std::move(cb));
+    outboxes[shardOf[src]].push_back(
+        CrossEvent{when, src, dst, std::move(cb)});
 }
 
 void
-ShardedKernel::roundFn(unsigned shard, unsigned parity,
-                       Tick epoch_end)
+ShardedKernel::runShard(unsigned shard)
 {
     tlsShard = shard;
-    // Drain first: everything posted last round is scheduled before
-    // any event of this epoch executes, in deterministic order.
-    theRouter->drainTo(shard, parity);
-    // Then run the epoch window [epoch_end - lookahead, epoch_end):
+    // Run the epoch window [curEpochEnd - lookahead, curEpochEnd):
     // run() executes events with when <= limit, so the limit is the
     // last tick inside the window. Each queue's clock advances to the
     // limit even when it drains early, keeping all shards' clocks in
     // lockstep at the barrier.
     for (unsigned e : owned[shard])
-        queues[e]->run(epoch_end - 1);
+        queues[e]->run(curEpochEnd - 1);
     tlsShard = noShard;
+}
+
+void
+ShardedKernel::deliverPosts()
+{
+    for (std::vector<CrossEvent> &box : outboxes) {
+        for (CrossEvent &ev : box)
+            merged.push_back(std::move(ev));
+        box.clear();
+    }
+    // A source endpoint posts from one shard only, so its posts sit
+    // in one outbox in post order, and the stable sort keeps that
+    // order among its ties. The result is (when, source, post order)
+    // whatever the shard layout, and scheduling in that order assigns
+    // every destination queue the same sequence numbers at 1 shard
+    // and at N.
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const CrossEvent &a, const CrossEvent &b) {
+                         if (a.when != b.when)
+                             return a.when < b.when;
+                         return a.src < b.src;
+                     });
+    for (CrossEvent &ev : merged)
+        queues[ev.dst]->schedule(ev.when, std::move(ev.cb));
+    statCross += static_cast<double>(merged.size());
+    merged.clear();
 }
 
 ShardedKernel::RunSummary
@@ -115,30 +141,25 @@ ShardedKernel::run()
     const uint64_t rounds_before = rounds;
 
     for (;;) {
-        // Between rounds every worker is parked, so reading queue
-        // sizes and folding the per-shard mailbox counters is safe —
-        // this is the "merge at epoch end" point.
-        theRouter->mergeStats();
+        // Between rounds no shard job runs, so reading queue sizes is
+        // safe. The last round's posts are already scheduled.
         size_t queued = 0;
         for (EventQueue *eq : queues)
             queued += eq->size();
-        if (queued == 0 && theRouter->inFlight() == 0)
+        if (queued == 0)
             break;
 
-        const unsigned parity = static_cast<unsigned>(rounds & 1);
-        theRouter->setRoundParity(parity);
-        const Tick epoch_end = (rounds + 1) * params.lookahead;
-        curEpochEnd = epoch_end;
-        const unsigned drain_parity = parity ^ 1u;
-
+        curEpochEnd = (rounds + 1) * params.lookahead;
         if (shardCount == 1) {
-            roundFn(0, drain_parity, epoch_end);
+            runShard(0);
         } else {
-            workers->runRound([this, drain_parity,
-                               epoch_end](unsigned s) {
-                roundFn(s, drain_parity, epoch_end);
-            });
+            // wait() also rethrows a job's exception, after every
+            // shard has stopped touching the kernel.
+            for (unsigned s = 0; s < shardCount; ++s)
+                workers->submit([this, s]() { runShard(s); });
+            workers->wait();
         }
+        deliverPosts();
         ++rounds;
         statEpochs += 1;
     }
@@ -147,7 +168,7 @@ ShardedKernel::run()
     for (EventQueue *eq : queues)
         sum.eventsExecuted += eq->eventsExecuted();
     sum.eventsExecuted -= events_before;
-    sum.crossMessages = theRouter->messagesDrained();
+    sum.crossMessages = static_cast<uint64_t>(statCross.value());
     sum.endTick = rounds * params.lookahead;
     return sum;
 }
@@ -160,8 +181,10 @@ ShardedKernel::attachStats(statistics::Group &parent)
         std::make_unique<statistics::Group>("shardkernel", &parent);
     statGroup->addScalar("epochs", &statEpochs,
                          "epoch barriers executed");
-    if (theRouter)
-        theRouter->attachStats(*statGroup);
+    statGroup->addScalar("crossPosted", &statCross,
+                         "cross-shard events posted to mailboxes");
+    statGroup->addScalar("crossDrained", &statCross,
+                         "cross-shard events drained into shard queues");
 }
 
 } // namespace obfusmem

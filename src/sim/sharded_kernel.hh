@@ -1,21 +1,23 @@
 /**
  * @file
  * Sharded deterministic simulation kernel: runs many event queues
- * (one per simulated socket/endpoint) in parallel across persistent
- * worker threads, synchronized by conservative-lookahead epoch
+ * (one per simulated socket/endpoint) in parallel as jobs on a pool of
+ * shard workers, synchronized by conservative-lookahead epoch
  * barriers.
  *
  * Time is divided into epochs of `lookahead` ticks. Within an epoch
  * every shard executes its endpoints' events independently — legal
- * because the only inter-endpoint coupling is through ShardRouter
- * posts, and the kernel enforces that a post made during epoch E can
- * only target a tick at or after the start of epoch E+1 (the
- * conservative lookahead: any physical link crossing shards must have
- * latency >= the epoch length; the fixed channel/interconnect latency
- * is the natural window). Mailboxes are drained at epoch boundaries
- * in a fixed, shard-layout-independent order (see shard_router.hh),
- * so simulated results — wire traces, stats, event order — are
- * bit-identical at 1 shard and at N.
+ * because the only inter-endpoint coupling is through post(), and the
+ * kernel enforces that a post made during epoch E can only target a
+ * tick at or after the start of epoch E+1 (the conservative
+ * lookahead: any physical link crossing shards must have latency >=
+ * the epoch length; the fixed channel/interconnect latency is the
+ * natural window). Each shard appends its posts to its own outbox;
+ * at the epoch barrier, while no worker runs, the calling thread
+ * merges the outboxes in a shard-layout-independent order (when,
+ * source endpoint, post order) and schedules every event into its
+ * destination queue, so simulated results — wire traces, stats,
+ * event order — are bit-identical at 1 shard and at N.
  *
  * `OBFUSMEM_SIM_SHARDS` selects the worker count (1 = serial on the
  * calling thread, 0 = one per hardware thread), mirroring
@@ -28,13 +30,12 @@
 #include <memory>
 #include <vector>
 
-#include "sim/shard_router.hh"
-#include "util/assert.hh"
+#include "sim/event_queue.hh"
 
 namespace obfusmem {
 
 namespace runner {
-class WorkerGroup;
+class ThreadPool;
 }
 
 class ShardedKernel
@@ -44,7 +45,7 @@ class ShardedKernel
     {
         /**
          * Worker shards. 1 runs everything serially on the calling
-         * thread — through the same epoch/drain code path, which is
+         * thread — through the same epoch/merge code path, which is
          * what makes the shards=1 vs N comparison meaningful.
          * Clamped to the endpoint count.
          */
@@ -97,9 +98,9 @@ class ShardedKernel
     };
 
     /**
-     * Run epochs until every endpoint queue is empty and no message
-     * is in flight in the mailboxes. Per-shard stats are merged at
-     * every epoch boundary (workers quiescent under the barrier).
+     * Run epochs until every endpoint queue is empty. Posts made
+     * during an epoch are scheduled at its barrier, so a message
+     * crossing an otherwise idle epoch boundary keeps the loop alive.
      */
     RunSummary run();
 
@@ -108,38 +109,55 @@ class ShardedKernel
     {
         return static_cast<unsigned>(queues.size());
     }
-    Tick lookahead() const { return params.lookahead; }
-    uint64_t epochsRun() const { return rounds; }
-    ShardRouter &router()
-    {
-        OBF_ASSERT(theRouter != nullptr, "kernel not sealed yet");
-        return *theRouter;
-    }
 
-    /** Register kernel + router counters as `shardkernel` groups. */
+    /** Register the kernel counters as the `shardkernel` group. */
     void attachStats(statistics::Group &parent);
 
   private:
+    /** One cross-shard message: run `cb` on endpoint `dst` at `when`. */
+    struct CrossEvent
+    {
+        Tick when;
+        unsigned src; ///< source endpoint id (global, not shard)
+        unsigned dst; ///< destination endpoint id
+        EventQueue::Callback cb;
+    };
+
     void seal();
-    void roundFn(unsigned shard, unsigned parity, Tick epoch_end);
+    void runShard(unsigned shard);
+    /**
+     * Merge every shard's outbox and schedule the events into their
+     * destination queues. Called between rounds, on the calling
+     * thread, while no worker runs.
+     */
+    void deliverPosts();
 
     Params params;
     unsigned shardCount = 1; ///< effective count, fixed at seal()
     std::vector<EventQueue *> queues;
     std::vector<unsigned> shardOf;
-    /// Endpoint ids per shard, ascending (drain/run order in a round).
+    /// Endpoint ids per shard, ascending (run order in a round).
     std::vector<std::vector<unsigned>> owned;
-    std::unique_ptr<ShardRouter> theRouter;
-    std::unique_ptr<runner::WorkerGroup> workers;
+    /// Posts of the running round, one outbox per source shard; only
+    /// that shard's job appends to it.
+    std::vector<std::vector<CrossEvent>> outboxes;
+    /// Merge buffer, kept across rounds so its capacity is reused.
+    std::vector<CrossEvent> merged;
+    /// Shard workers (shards > 1 only); the pool's submit/wait
+    /// handshake publishes each round's writes to the next.
+    std::unique_ptr<runner::ThreadPool> workers;
     bool sealed = false;
 
     uint64_t rounds = 0;
     /// End tick of the epoch currently running (the post() horizon).
-    /// Written between rounds, read by shard threads during rounds;
-    /// the WorkerGroup round handshake orders the accesses.
+    /// Written between rounds, read by shard jobs during rounds.
     Tick curEpochEnd = 0;
 
     statistics::Scalar statEpochs;
+    /// Cross-shard posts delivered so far. A post is delivered at the
+    /// barrier that ends its round, so at every barrier the posted
+    /// and drained counts are this one value.
+    statistics::Scalar statCross;
     std::unique_ptr<statistics::Group> statGroup;
 };
 

@@ -7,7 +7,7 @@
  * stream straight into the socket's protection path; a fraction of
  * every tenant's requests crosses the socket interconnect to a remote
  * socket's memory (NUMA-style), which is the traffic the kernel's
- * cross-shard mailboxes carry.
+ * cross-shard posts carry.
  *
  * The topology is the workload for bench/fig5_datacenter.cc: the
  * UNOPT inter-channel scheme pads every request with dummies on every
@@ -209,7 +209,7 @@ class MultiTenantTopology
      * Ship a request over the interconnect to @p dst_sock, access its
      * memory there, and post the reply back to the tenant's home
      * socket. Both hops go through the kernel's lookahead-checked
-     * mailboxes.
+     * post().
      */
     void remoteIssue(TenantDriver *drv, MemPacket pkt,
                      unsigned dst_sock, Tick issue_tick, bool window);

@@ -15,12 +15,15 @@
 #define OBFUSMEM_UTIL_ENV_HH
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "util/logging.hh"
@@ -44,6 +47,24 @@ flag(const char *name)
 }
 
 /**
+ * Parse a whole string as an unsigned number in @p base: digits only,
+ * with no sign, whitespace, base prefix or trailing characters, and no
+ * overflow. std::nullopt on anything else. The knobs below, the
+ * command-line flags and the trace reader all parse numbers here, so
+ * a value means the same wherever it is written.
+ */
+inline std::optional<uint64_t>
+parseU64(std::string_view s, int base = 10)
+{
+    uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [stop, ec] = std::from_chars(s.data(), end, v, base);
+    if (ec != std::errc() || stop != end)
+        return std::nullopt;
+    return v;
+}
+
+/**
  * Unsigned integer knob. Warns (once per call site pattern is not
  * tracked; callers latch the result) and returns @p def on a value
  * that is not a plain non-negative decimal number, or that exceeds
@@ -56,25 +77,18 @@ u64(const char *name, uint64_t def, uint64_t max = UINT64_MAX)
     const char *v = raw(name);
     if (!v)
         return def;
-    // strtoull is laxer than the documented contract: it skips
-    // leading whitespace, accepts '+'/'-', and clamps overflow to
-    // ULLONG_MAX with errno=ERANGE. Require a leading digit and a
-    // clean errno so all of those take the warn-and-default path.
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (v[0] < '0' || v[0] > '9' || end == v || *end != '\0'
-        || errno == ERANGE) {
+    const std::optional<uint64_t> parsed = parseU64(v);
+    if (!parsed) {
         warn(name, "=\"", v, "\" is not a valid number; using default ",
              def);
         return def;
     }
-    if (parsed > max) {
+    if (*parsed > max) {
         warn(name, "=", v, " is above its maximum ", max,
              "; using default ", def);
         return def;
     }
-    return parsed;
+    return *parsed;
 }
 
 /**
@@ -102,22 +116,29 @@ f64(const char *name, double def)
 }
 
 /**
- * Worker-count knob (OBFUSMEM_BENCH_JOBS, OBFUSMEM_SIM_SHARDS):
- * parsed like u64, but 0 means "one per hardware thread" (with a
- * fallback of 1 when the runtime cannot report concurrency), and the
- * result is clamped to @p cap — neither a sweep nor a shard set ever
- * usefully exceeds a couple hundred workers, and a typo'd huge value
- * would otherwise try to spawn that many threads.
+ * Worker count from a requested number (OBFUSMEM_BENCH_JOBS,
+ * OBFUSMEM_SIM_SHARDS, `fig5_datacenter --shards`): 0 means "one per
+ * hardware thread" (with a fallback of 1 when the runtime cannot
+ * report concurrency), and the result is clamped to @p cap — neither
+ * a sweep nor a shard set ever usefully exceeds a couple hundred
+ * workers, and a typo'd huge value would otherwise try to spawn that
+ * many threads.
  */
 inline unsigned
-jobs(const char *name, unsigned def, unsigned cap = 256)
+workers(uint64_t requested, unsigned cap = 256)
 {
-    uint64_t parsed = u64(name, def);
-    if (parsed == 0) {
+    if (requested == 0) {
         unsigned hw = std::thread::hardware_concurrency();
         return hw ? hw : 1u;
     }
-    return static_cast<unsigned>(parsed > cap ? cap : parsed);
+    return static_cast<unsigned>(requested > cap ? cap : requested);
+}
+
+/** Worker-count knob: parsed like u64, resolved by workers(). */
+inline unsigned
+jobs(const char *name, unsigned def, unsigned cap = 256)
+{
+    return workers(u64(name, def), cap);
 }
 
 /**

@@ -35,92 +35,6 @@ class Scalar
     double value_ = 0;
 };
 
-/**
- * A scalar counter safe to bump from concurrent shard workers.
- *
- * The plain Scalar is a raw double — two shard threads incrementing
- * one from their epoch loops is a data race (and a lost-update bug,
- * not just a TSan report). ShardedScalar gives every shard its own
- * cache-line-sized counter lane; workers touch only their lane, and
- * the merged value is folded from the lanes in fixed shard order at
- * epoch boundaries (when the workers are quiescent under the barrier)
- * by whoever owns the merge — so the merged total is deterministic
- * and the whole structure is TSan-clean without a single atomic on
- * the hot path.
- */
-class ShardedScalar
-{
-  public:
-    /** One lane per shard; shard 0 exists even before resize(). */
-    explicit ShardedScalar(unsigned shards = 1) { resize(shards); }
-
-    /**
-     * (Re)size to @p shards lanes. Only valid while no worker is
-     * running (lanes are reallocated). Existing counts are folded
-     * into the merged base so history survives a resize.
-     */
-    void
-    resize(unsigned shards)
-    {
-        base += laneSum();
-        lanes.assign(shards ? shards : 1, Lane{});
-    }
-
-    unsigned shards() const
-    {
-        return static_cast<unsigned>(lanes.size());
-    }
-
-    /** Bump shard @p s's lane. Safe concurrently across distinct s. */
-    void
-    add(unsigned s, uint64_t v = 1)
-    {
-        lanes[s].count += v;
-    }
-
-    /**
-     * Fold all lanes into the merged Scalar (fixed lane order). Call
-     * only while workers are quiescent — at an epoch barrier or after
-     * the run — and register `merged()` with a Group for dumping.
-     */
-    void
-    merge()
-    {
-        merged_.set(static_cast<double>(base + laneSum()));
-    }
-
-    /** Merged value as of the last merge(). */
-    uint64_t
-    value() const
-    {
-        return static_cast<uint64_t>(merged_.value());
-    }
-
-    /** The Scalar view for Group::addScalar registration. */
-    const Scalar *merged() const { return &merged_; }
-
-  private:
-    /// Padded so neighboring shards' increments never share a cache
-    /// line (false sharing would serialize the epoch hot loops).
-    struct alignas(64) Lane
-    {
-        uint64_t count = 0;
-    };
-
-    uint64_t
-    laneSum() const
-    {
-        uint64_t sum = 0;
-        for (const Lane &l : lanes)
-            sum += l.count;
-        return sum;
-    }
-
-    std::vector<Lane> lanes;
-    uint64_t base = 0;
-    Scalar merged_;
-};
-
 /** Running average statistic (sum / count). */
 class Average
 {

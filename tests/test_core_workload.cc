@@ -246,10 +246,11 @@ TEST(TraceWorkload, ParseAndSerializeRoundTrip)
         "0 W 2040 S\n"
         "12 R dead00 D S\n"
         "\n"
-        "3 W 40 # trailing comment\n";
+        "3 W 40 # trailing comment\n"
+        "4294967295 R 0xBEEF\n";
     std::istringstream in(text);
     std::vector<MemOp> ops = parseTrace(in);
-    ASSERT_EQ(ops.size(), 4u);
+    ASSERT_EQ(ops.size(), 5u);
     EXPECT_EQ(ops[0].gapInstrs, 5u);
     EXPECT_FALSE(ops[0].isStore);
     EXPECT_EQ(ops[0].addr, 0x1000u);
@@ -258,6 +259,9 @@ TEST(TraceWorkload, ParseAndSerializeRoundTrip)
     EXPECT_TRUE(ops[2].dependent);
     EXPECT_EQ(ops[2].addr, 0xdead00u);
     EXPECT_EQ(ops[3].gapInstrs, 3u);
+    // The widest gap, and an address with a 0x prefix.
+    EXPECT_EQ(ops[4].gapInstrs, 4294967295u);
+    EXPECT_EQ(ops[4].addr, 0xbeefu);
 
     std::ostringstream out;
     writeTrace(out, ops);
@@ -316,7 +320,23 @@ TEST(TraceWorkload, CoreRunsOnReplayedTrace)
 
 TEST(TraceWorkloadDeathTest, RejectsMalformedLines)
 {
-    std::istringstream bad("5 X 1000\n");
-    EXPECT_EXIT(parseTrace(bad), ::testing::ExitedWithCode(1),
-                "command must be R or W");
+    struct Bad
+    {
+        const char *line;
+        const char *diagnostic;
+    };
+    for (const Bad &b : {
+             Bad{"5 X 1000\n", "command must be R or W"},
+             // A non-hex address, a gap past 32 bits, a negative gap,
+             // and an address with trailing junk.
+             Bad{"5 R zz\n", "address \"zz\" is not a hex number"},
+             Bad{"4294967297 W 1000x\n", "gap \"4294967297\""},
+             Bad{"-1 R 40\n", "gap \"-1\""},
+             Bad{"4294967295 W 1000x\n", "address \"1000x\""},
+         }) {
+        std::istringstream bad(b.line);
+        EXPECT_EXIT(parseTrace(bad), ::testing::ExitedWithCode(1),
+                    b.diagnostic)
+            << b.line;
+    }
 }

@@ -43,6 +43,21 @@ TEST(ThreadPool, WaitIsReusable)
     EXPECT_EQ(count.load(), 3);
 }
 
+TEST(ThreadPool, WaitRethrowsAJobException)
+{
+    ThreadPool pool(2);
+    std::atomic<int> count{0};
+    pool.submit([] { throw std::runtime_error("job failed"); });
+    pool.submit([&count] { ++count; });
+    // wait() still returns only after every job ran.
+    EXPECT_THROW(pool.wait(), std::runtime_error);
+    EXPECT_EQ(count.load(), 1);
+    // The error is reported once, and the pool stays usable.
+    pool.submit([&count] { ++count; });
+    pool.wait();
+    EXPECT_EQ(count.load(), 2);
+}
+
 TEST(ThreadPool, DestructorDrainsQueue)
 {
     std::atomic<int> count{0};

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -139,6 +140,58 @@ TEST(ShardedKernelTest, SummaryCountsAreConsistent)
     EXPECT_EQ(logged, sum.eventsExecuted);
 }
 
+/**
+ * The merge order itself, which comparing 1 shard against N cannot
+ * see when it is the same at every shard count: posts for one `when`
+ * reach their destination by source endpoint, whichever source's
+ * outbox is merged first, and one source's posts for one tick keep
+ * their post order — enough of them that an unstable sort would
+ * reorder the ties.
+ */
+TEST(ShardedKernelTest, CrossPostsRunInWhenSourcePostOrder)
+{
+    const Tick lookahead = 1000;
+    const Tick when = lookahead + 5;
+    constexpr int burst = 24;
+    std::vector<std::string> want = {"2.early", "1.0", "1.1"};
+    for (int i = 0; i < burst; ++i)
+        want.push_back("2." + std::to_string(i));
+
+    for (unsigned shards : {1u, 2u, 3u}) {
+        ShardedKernel kernel({shards, lookahead});
+        std::vector<std::unique_ptr<EventQueue>> queues;
+        for (unsigned e = 0; e < 3; ++e) {
+            queues.push_back(std::make_unique<EventQueue>(EvqImpl::Wheel));
+            kernel.addEndpoint(*queues.back());
+        }
+        // Only endpoint 0, the destination, appends here.
+        std::vector<std::string> ran;
+        auto post = [&](unsigned src, Tick at, std::string label) {
+            kernel.post(src, 0, at, [&ran, label]() {
+                ran.push_back(label);
+            });
+        };
+        // The higher-numbered source posts first in simulated time,
+        // and at 2 shards it shares shard 0 with the destination, so
+        // its outbox is also merged first...
+        queues[2]->schedule(10, [&]() {
+            for (int i = 0; i < burst; ++i)
+                post(2, when, "2." + std::to_string(i));
+        });
+        // ...the lower one then posts for the same tick...
+        queues[1]->schedule(20, [&]() {
+            post(1, when, "1.0");
+            post(1, when, "1.1");
+        });
+        // ...and the higher one last posts for an earlier tick.
+        queues[2]->schedule(30, [&]() { post(2, when - 1, "2.early"); });
+
+        ShardedKernel::RunSummary sum = kernel.run();
+        EXPECT_EQ(ran, want) << "shards=" << shards;
+        EXPECT_EQ(sum.crossMessages, want.size());
+    }
+}
+
 TEST(ShardedKernelDeathTest, PostBelowHorizonPanics)
 {
     ASSERT_DEATH(
@@ -249,6 +302,18 @@ runSmallRack(unsigned shards)
     return run;
 }
 
+/** 64-bit FNV-1a of a string's bytes. */
+uint64_t
+fnv1a(const std::string &s)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 } // namespace
 
 TEST(MultiTenantTopologyTest, BitIdenticalAcrossShardCounts)
@@ -271,6 +336,22 @@ TEST(MultiTenantTopologyTest, BitIdenticalAcrossShardCounts)
         EXPECT_EQ(sn.result.epochs, s1.result.epochs);
         EXPECT_EQ(sn.result.avgLatencyNs, s1.result.avgLatencyNs);
     }
+}
+
+TEST(MultiTenantTopologyTest, TracesAndStatsMatchRecordedDigests)
+{
+    // Comparing shard counts passes when every count changes alike.
+    // These constants pin the rack's output itself; a deliberate model
+    // change re-records them and says why.
+    RackRun run = runSmallRack(1);
+    EXPECT_EQ(run.traces.size(), 215817u);
+    EXPECT_EQ(fnv1a(run.traces), 0x33f4f087ad67b52dull);
+    // The stats include eventq.overflowPromotions, which the heap
+    // backend never counts.
+    const bool wheel = EventQueue::defaultImpl() == EvqImpl::Wheel;
+    EXPECT_EQ(run.stats.size(), 44688u);
+    EXPECT_EQ(fnv1a(run.stats), wheel ? 0x20201cd55e8cd7b8ull
+                                      : 0x20766e4bd9bc2a6bull);
 }
 
 TEST(MultiTenantTopologyTest, RemoteTrafficCrossesTheKernel)

@@ -17,7 +17,7 @@
 
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
-#include "sim/inline_callback.hh"
+#include "sim/inline_function.hh"
 
 using namespace obfusmem;
 
@@ -341,12 +341,12 @@ TEST(EventQueue, AttachStatsExposesKernelCounters)
     EXPECT_NE(text.find("eventq.overflowPromotions"), std::string::npos);
 }
 
-TEST(InlineCallback, MoveTransfersAndDestroysPromptly)
+TEST(InlineFunction, MoveTransfersAndDestroysPromptly)
 {
     auto token = std::make_shared<int>(0);
-    InlineCallback<64> a([token]() { ++*token; });
+    InlineFunction<void(), 64> a([token]() { ++*token; });
     EXPECT_EQ(token.use_count(), 2);
-    InlineCallback<64> b(std::move(a));
+    InlineFunction<void(), 64> b(std::move(a));
     EXPECT_FALSE(static_cast<bool>(a)); // NOLINT: moved-from probe
     ASSERT_TRUE(static_cast<bool>(b));
     EXPECT_EQ(token.use_count(), 2);
@@ -356,12 +356,12 @@ TEST(InlineCallback, MoveTransfersAndDestroysPromptly)
     EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(InlineCallback, AssignReplacesAndReleasesOldCapture)
+TEST(InlineFunction, AssignReplacesAndReleasesOldCapture)
 {
     auto first = std::make_shared<int>(0);
     auto second = std::make_shared<int>(0);
-    InlineCallback<64> cb([first]() { ++*first; });
-    cb = InlineCallback<64>([second]() { ++*second; });
+    InlineFunction<void(), 64> cb([first]() { ++*first; });
+    cb = InlineFunction<void(), 64>([second]() { ++*second; });
     EXPECT_EQ(first.use_count(), 1); // old capture destroyed
     cb();
     EXPECT_EQ(*first, 0);

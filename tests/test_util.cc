@@ -11,7 +11,6 @@
 #include <limits>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "sim/types.hh"
@@ -347,58 +346,4 @@ TEST(Env, JobsParsesAutoDetectAndCap)
     EXPECT_EQ(env::jobs("OBFUSMEM_TEST_KNOB", 2), 2u);
     // An unset knob with a 0 default also auto-detects.
     EXPECT_GE(env::jobs("OBFUSMEM_TEST_KNOB", 0), 1u);
-}
-
-TEST(Stats, ShardedScalarMergesLanesInFixedOrder)
-{
-    statistics::ShardedScalar s;
-    s.resize(4);
-    for (unsigned lane = 0; lane < 4; ++lane)
-        for (unsigned i = 0; i <= lane; ++i)
-            s.add(lane);
-    EXPECT_EQ(s.value(), 0u); // nothing merged yet
-    s.merge();
-    EXPECT_EQ(s.value(), 1u + 2u + 3u + 4u);
-    // merge() is a snapshot fold, not a drain: folding again without
-    // new adds must not double-count.
-    s.merge();
-    EXPECT_EQ(s.value(), 10u);
-    s.add(2, 5);
-    s.merge();
-    EXPECT_EQ(s.value(), 15u);
-}
-
-TEST(Stats, ShardedScalarResizePreservesCounts)
-{
-    statistics::ShardedScalar s;
-    s.resize(2);
-    s.add(0, 7);
-    s.add(1, 8);
-    // Growing the lane set (kernel re-seal) folds existing counts
-    // into the base rather than dropping them.
-    s.resize(8);
-    s.add(7, 5);
-    s.merge();
-    EXPECT_EQ(s.value(), 20u);
-}
-
-TEST(Stats, ShardedScalarIsTSanCleanUnderConcurrentLanes)
-{
-    // The whole point of the lane layout: concurrent add()s on
-    // distinct lanes race on nothing. Run under TSan in CI.
-    statistics::ShardedScalar s;
-    constexpr unsigned lanes = 4;
-    constexpr uint64_t perLane = 50000;
-    s.resize(lanes);
-    std::vector<std::thread> threads;
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-        threads.emplace_back([&s, lane]() {
-            for (uint64_t i = 0; i < perLane; ++i)
-                s.add(lane);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    s.merge();
-    EXPECT_EQ(s.value(), lanes * perLane);
 }
