@@ -18,14 +18,14 @@
  *                      to PATH (CI byte-compares across shard counts)
  *   --scaling          one rack at shards=1 then shards=N; reports the
  *                      kernel speedup, gated by the env knob
- *                      OBFUSMEM_DATACENTER_MIN_SPEEDUP (default: off)
+ *                      OBFUSMEM_DATACENTER_MIN_SPEEDUP (default: off;
+ *                      a malformed value exits 2 before any run)
  *
  * Knobs: OBFUSMEM_SIM_SHARDS (0 = one per hardware thread),
  * OBFUSMEM_DATACENTER_REQS (requests per tenant), OBFUSMEM_QUICK.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -116,7 +116,7 @@ traceMode(const std::string &path, unsigned shards)
 }
 
 int
-scalingMode(unsigned shards)
+scalingMode(unsigned shards, std::optional<double> min_speedup)
 {
     const bool quick = env::flag("OBFUSMEM_QUICK");
     RackShape shape = shapeFromEnv(quick);
@@ -150,15 +150,10 @@ scalingMode(unsigned shards)
                      "differ\n", shards);
         return 1;
     }
-    const char *gate = env::raw("OBFUSMEM_DATACENTER_MIN_SPEEDUP");
-    if (gate) {
-        const double min_speedup = std::strtod(gate, nullptr);
-        if (speedup < min_speedup) {
-            std::fprintf(stderr,
-                         "speedup %.2fx below required %.2fx\n",
-                         speedup, min_speedup);
-            return 1;
-        }
+    if (min_speedup && speedup < *min_speedup) {
+        std::fprintf(stderr, "speedup %.2fx below required %.2fx\n",
+                     speedup, *min_speedup);
+        return 1;
     }
     return 0;
 }
@@ -181,6 +176,20 @@ int
 main(int argc, char **argv)
 {
     bench::Session session("fig5_datacenter");
+
+    // Read the speedup gate before anything runs: a typo must fail
+    // at once, not switch the gate off after the whole run.
+    std::optional<double> min_speedup;
+    if (const char *gate = env::raw("OBFUSMEM_DATACENTER_MIN_SPEEDUP")) {
+        min_speedup = env::parseF64(gate);
+        if (!min_speedup) {
+            std::fprintf(stderr,
+                         "OBFUSMEM_DATACENTER_MIN_SPEEDUP=\"%s\" is not "
+                         "a plain non-negative decimal number\n",
+                         gate);
+            return 2;
+        }
+    }
 
     unsigned shards = ShardedKernel::shardsFromEnv();
     std::string trace_path;
@@ -209,7 +218,7 @@ main(int argc, char **argv)
     if (!trace_path.empty())
         return traceMode(trace_path, shards);
     if (scaling)
-        return scalingMode(shards);
+        return scalingMode(shards, min_speedup);
 
     RackShape shape = shapeFromEnv(quick);
     std::printf("\n=== Figure 5 at rack scale: %u sockets, %u "

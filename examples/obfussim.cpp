@@ -15,13 +15,15 @@
  *   obfussim --list-benchmarks
  */
 
+#include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "system/oblivious_backend.hh"
 #include "system/system.hh"
+#include "util/env.hh"
 
 using namespace obfusmem;
 
@@ -51,7 +53,8 @@ usage()
         "  --boot             derive session keys via the DH boot protocol\n"
         "  --observer         print the attacker-observer analysis\n"
         "  --stats            dump full statistics\n"
-        "  --list-benchmarks  print available workloads and exit\n";
+        "  --list-benchmarks  print available workloads and exit\n"
+        "exit status: 2 on a malformed or out-of-range number\n";
 }
 
 [[noreturn]] void
@@ -79,6 +82,19 @@ main(int argc, char **argv)
                 die("missing value for " + arg);
             return argv[++i];
         };
+        // A numeric option's value: a plain decimal no larger than
+        // @p max, or the usage and exit status 2.
+        auto next_num = [&](uint64_t max) -> uint64_t {
+            const std::string v = next();
+            const std::optional<uint64_t> n = env::parseU64(v);
+            if (!n || *n > max) {
+                std::cerr << "obfussim: bad value for " << arg << ": "
+                          << v << "\n";
+                usage();
+                std::exit(2);
+            }
+            return *n;
+        };
 
         if (arg == "--help" || arg == "-h") {
             usage();
@@ -104,16 +120,13 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             cfg.traceFile = next();
         } else if (arg == "--instrs") {
-            cfg.instrPerCore = std::strtoull(next().c_str(), nullptr,
-                                             10);
+            cfg.instrPerCore = next_num(UINT64_MAX);
         } else if (arg == "--cores") {
-            cfg.cores = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            cfg.cores = static_cast<unsigned>(next_num(UINT_MAX));
         } else if (arg == "--channels") {
-            cfg.channels = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            cfg.channels = static_cast<unsigned>(next_num(UINT_MAX));
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next().c_str(), nullptr, 10);
+            cfg.seed = next_num(UINT64_MAX);
         } else if (arg == "--scheme") {
             std::string s = next();
             if (s == "none")
@@ -148,7 +161,7 @@ main(int argc, char **argv)
             cfg.obfusmem.timingOblivious = true;
         } else if (arg == "--epoch") {
             cfg.obfusmem.issueEpoch =
-                std::strtoull(next().c_str(), nullptr, 10) * tickPerNs;
+                next_num(UINT64_MAX / tickPerNs) * tickPerNs;
         } else if (arg == "--integrity") {
             cfg.encryption.integrity = true;
         } else if (arg == "--boot") {

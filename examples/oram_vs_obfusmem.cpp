@@ -8,11 +8,12 @@
  * Usage: oram_vs_obfusmem [benchmark] [instructions-per-core]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 
 #include "system/system.hh"
+#include "util/env.hh"
 
 using namespace obfusmem;
 
@@ -20,8 +21,16 @@ int
 main(int argc, char **argv)
 {
     std::string bench = argc > 1 ? argv[1] : "soplex";
-    uint64_t instrs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 60 * 1000;
+    uint64_t instrs = 60 * 1000;
+    if (argc > 2) {
+        const std::optional<uint64_t> n = env::parseU64(argv[2]);
+        if (!n) {
+            std::cerr << "usage: oram_vs_obfusmem [benchmark] "
+                         "[instructions-per-core]\n";
+            return 2;
+        }
+        instrs = *n;
+    }
 
     SystemConfig cfg;
     cfg.benchmark = bench;

@@ -7,12 +7,13 @@
  * Usage: quickstart [benchmark] [instructions-per-core]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "system/system.hh"
+#include "util/env.hh"
 
 using namespace obfusmem;
 
@@ -35,8 +36,16 @@ int
 main(int argc, char **argv)
 {
     std::string bench = argc > 1 ? argv[1] : "milc";
-    uint64_t instrs = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                               : 200 * 1000;
+    uint64_t instrs = 200 * 1000;
+    if (argc > 2) {
+        const std::optional<uint64_t> n = env::parseU64(argv[2]);
+        if (!n) {
+            std::cerr << "usage: quickstart [benchmark] "
+                         "[instructions-per-core]\n";
+            return 2;
+        }
+        instrs = *n;
+    }
 
     std::cout << "=== ObfusMem quickstart: " << bench << ", " << instrs
               << " instructions/core, 4 cores ===\n\n";

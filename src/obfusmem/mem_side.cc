@@ -5,8 +5,6 @@
 
 #include "obfusmem/mem_side.hh"
 
-#include <algorithm>
-
 #include "crypto/dh.hh"
 #include "obfusmem/proc_side.hh"
 #include "util/assert.hh"
@@ -308,26 +306,17 @@ ObfusMemMemSide::transmitReply(const ReplyPads &pads,
         bus.send(BusDir::ToProcessor, bytes, snoop_addr, false,
                  [this, msg = std::move(msg)](const BusFault &fault)
                      mutable {
-                     if (fault.corrupted)
-                         corruptHeaderBit(msg, fault.entropy);
-                     if (replyTarget) {
-                         // Test/tooling intercept.
-                         if (fault.duplicated) {
-                             WireMessage copy = msg;
-                             replyTarget(std::move(copy));
+                     deliverFrame(std::move(msg), fault,
+                                  [this](WireMessage &&m) {
+                         if (replyTarget) {
+                             // Test/tooling intercept.
+                             replyTarget(std::move(m));
+                             return;
                          }
-                         replyTarget(std::move(msg));
-                     } else {
                          panic_if(!procSide,
                                   "no reply target wired to mem side");
-                         if (fault.duplicated) {
-                             WireMessage copy = msg;
-                             procSide->receiveReply(channel,
-                                                    std::move(copy));
-                         }
-                         procSide->receiveReply(channel,
-                                                std::move(msg));
-                     }
+                         procSide->receiveReply(channel, std::move(m));
+                     });
                  });
     });
 }
@@ -438,30 +427,13 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
             sendHandshakeResponse();
         return;
     }
-    if (chunk.total == 0 || chunk.total > collectChunks.size()
-        || chunk.len > handshakeChunkBytes)
-        return;
-    if (collectEpoch != chunk.epoch || collectTotal != chunk.total) {
-        collectEpoch = chunk.epoch;
-        collectTotal = chunk.total;
-        collectMask = 0;
-    }
-    if (chunk.chunk >= collectTotal)
-        return;
-    collectChunks[chunk.chunk] = chunk;
-    collectMask |= 1u << chunk.chunk;
-    if (collectMask != (1u << collectTotal) - 1)
+    std::optional<std::vector<uint8_t>> pub_bytes = request.add(chunk);
+    if (!pub_bytes)
         return;
 
     // Full public value in hand: run our half of the exchange.
-    std::vector<uint8_t> pub_bytes;
-    for (unsigned i = 0; i < collectTotal; ++i) {
-        const HandshakeChunk &c = collectChunks[i];
-        pub_bytes.insert(pub_bytes.end(), c.data.begin(),
-                         c.data.begin() + c.len);
-    }
     crypto::BigUint peer_pub =
-        crypto::BigUint::fromBytes(pub_bytes.data(), pub_bytes.size());
+        crypto::BigUint::fromBytes(pub_bytes->data(), pub_bytes->size());
     crypto::DhEndpoint dh(crypto::DhGroup::testGroup256(), rekeyRng);
     crypto::Aes128::Key key = epochSessionKey(
         crypto::DhEndpoint::deriveSessionKey(dh.computeShared(peer_pub)),
@@ -469,23 +441,7 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
 
     // Stash the response payloads first so duplicates can be answered
     // verbatim later.
-    std::vector<uint8_t> my_pub = dh.publicValue().toBytes();
-    uint8_t total = static_cast<uint8_t>(
-        (my_pub.size() + handshakeChunkBytes - 1) / handshakeChunkBytes);
-    if (total == 0)
-        total = 1;
-    respPayloads.clear();
-    for (uint8_t i = 0; i < total; ++i) {
-        HandshakeChunk rc;
-        rc.epoch = chunk.epoch;
-        rc.chunk = i;
-        rc.total = total;
-        size_t off = static_cast<size_t>(i) * handshakeChunkBytes;
-        rc.len = static_cast<uint16_t>(
-            std::min(handshakeChunkBytes, my_pub.size() - off));
-        std::copy_n(my_pub.begin() + off, rc.len, rc.data.begin());
-        respPayloads.push_back(packHandshakeChunk(rc));
-    }
+    respPayloads = packHandshake(chunk.epoch, dh.publicValue().toBytes());
 
     // Install the epoch key: both data-plane streams restart at
     // counter zero under the new key. The prefetch rings hold pads of

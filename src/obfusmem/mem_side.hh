@@ -67,16 +67,6 @@ class ObfusMemMemSide : public SimObject
     /** The reserved dummy block address for this channel. */
     uint64_t dummyAddr() const { return dummyBlockAddr; }
 
-    uint64_t tamperDetections() const
-    {
-        return static_cast<uint64_t>(macFailures.value());
-    }
-
-    uint64_t desyncEvents() const
-    {
-        return static_cast<uint64_t>(headerDesyncs.value());
-    }
-
     /** Test hook: skew the request counter to model message loss. */
     void skewRequestCounter(uint64_t delta)
     {
@@ -91,30 +81,6 @@ class ObfusMemMemSide : public SimObject
 
     /** Attach the trace auditor's endpoint hook (may be null). */
     void setAuditHook(AuditHook *hook) { audit = hook; }
-
-    /** Pads consumed by this controller (paper Sec. 5.2 accounting). */
-    uint64_t padsGenerated() const
-    {
-        return static_cast<uint64_t>(padsUsed.value());
-    }
-
-    /** Resynchronizations performed (recovery). */
-    uint64_t resyncCount() const
-    {
-        return static_cast<uint64_t>(resyncs.value());
-    }
-
-    /** Unattributable frames discarded (recovery). */
-    uint64_t discardedFrames() const
-    {
-        return static_cast<uint64_t>(framesDiscarded.value());
-    }
-
-    /** Re-key epochs installed on this side (recovery). */
-    uint64_t rekeysInstalled() const
-    {
-        return static_cast<uint64_t>(rekeysCompleted.value());
-    }
 
   private:
     void handleRequest(OBF_SECRET const WireHeader &hdr, bool has_data,
@@ -204,11 +170,8 @@ class ObfusMemMemSide : public SimObject
     Random rekeyRng;
     /** Last re-key epoch whose key this side installed (0 = none). */
     uint32_t installedEpoch = 0;
-    /** In-progress handshake-chunk collection. */
-    uint32_t collectEpoch = 0;
-    uint8_t collectTotal = 0;
-    uint32_t collectMask = 0;
-    std::array<HandshakeChunk, 8> collectChunks{};
+    /** The processor's re-key request, chunk by chunk. */
+    HandshakeAssembly request;
     /** Stored response payloads for idempotent resends. */
     std::vector<DataBlock> respPayloads;
 

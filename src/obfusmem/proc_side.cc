@@ -295,6 +295,73 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
                             PacketCallback cb)
 {
     ChannelState &cs = channelState[channel];
+    GroupPads pads;
+    const uint64_t ctr = claimGroup(channel, pads);
+    const bool is_read = pkt.isRead();
+    if (is_read)
+        ++realReads;
+    else
+        ++realWrites;
+
+    RequestGroup group;
+    // The posted write whose completion rides the group's data frame.
+    QueuedWrite posted;
+    if (params.uniformPackets) {
+        // One fixed-size message per request; every request expects a
+        // fixed-size reply, and a write's junk reply is discarded.
+        group.first = {.cmd = pkt.cmd, .addr = pkt.addr};
+        if (is_read)
+            junkRng.fillBytes(group.payload.data(), group.payload.size());
+        else
+            group.payload = pkt.data;
+    } else if (is_read) {
+        ++pairedDummies;
+        group.first = {.cmd = MemCmd::Read, .addr = pkt.addr};
+        // The paired write. When writes are piling up, a real one
+        // substitutes for the dummy - same wire pattern, no wasted
+        // bandwidth (the Sec. 3.3 optimization that makes the split
+        // scheme beat uniform packets). Below the watermark the
+        // droppable dummy is cheaper for the PCM banks.
+        if (cs.writeQueue.size() > params.writeQueueLowWatermark) {
+            ++pairSubstitutions;
+            posted = std::move(cs.writeQueue.front());
+            cs.writeQueue.pop_front();
+            group.second = {.cmd = MemCmd::Write, .addr = posted.pkt.addr};
+            group.payload = posted.pkt.data;
+        } else {
+            group.second = {.cmd = MemCmd::Write,
+                            .addr = dummyAddrFor(channel, pkt.addr),
+                            .dummy = true};
+            junkRng.fillBytes(group.payload.data(), group.payload.size());
+        }
+    } else {
+        // Real write: preceded by a dummy read (reads are latency
+        // critical, writes are not - paper Sec. 3.3). The second
+        // encryption on top of the memory-encryption ciphertext hides
+        // temporal reuse of unmodified data (Observation 1).
+        ++pairedDummies;
+        group.first = {.cmd = MemCmd::Read,
+                       .addr = dummyAddrFor(channel, pkt.addr),
+                       .dummy = true};
+        group.second = {.cmd = MemCmd::Write, .addr = pkt.addr};
+        group.payload = pkt.data;
+    }
+
+    if (is_read) {
+        addPending(cs, group, std::move(pkt), std::move(cb));
+    } else {
+        addPending(cs, group);
+        posted = {std::move(pkt), std::move(cb)};
+    }
+    emitGroup(channel, ctr, pads, group, std::move(posted.pkt),
+              std::move(posted.cb));
+    ensureWatchdog(channel);
+}
+
+uint64_t
+ObfusMemProcSide::claimGroup(OBF_PUBLIC unsigned channel, GroupPads &pads)
+{
+    ChannelState &cs = channelState[channel];
     uint64_t ctr = cs.reqCounter;
     OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
                "request counter exhausted on channel ", channel);
@@ -313,156 +380,43 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
 
     // The prefetch ring usually has the group's pads already; a miss
     // batch-generates them on the spot (same bytes either way).
-    GroupPads pads;
     cs.txPads.take(ctr, pads.pad.data());
     schedulePadRefill(channel);
+    return ctr;
+}
 
+void
+ObfusMemProcSide::emitGroup(unsigned channel, uint64_t ctr,
+                            const GroupPads &pads,
+                            const RequestGroup &group, MemPacket pkt,
+                            PacketCallback cb)
+{
     if (params.uniformPackets) {
-        // One fixed-size message per request; every request expects a
-        // fixed-size reply.
-        WireHeader hdr;
-        hdr.cmd = pkt.cmd;
-        hdr.addr = pkt.addr;
-        hdr.tag = allocTag(cs);
-        const bool is_read = pkt.isRead();
-
-        DataBlock payload;
-        if (is_read) {
-            junkRng.fillBytes(payload.data(), payload.size());
-        } else {
-            payload = pkt.data;
-        }
-
-        ++cs.outstandingReads;
-        if (is_read) {
-            ++realReads;
-            PendingRead pend{std::move(pkt), std::move(cb), false};
-            pend.lastSend = curTick();
-            pend.rbFirst = hdr;
-            pend.rbPayload = payload;
-            cs.pending[hdr.tag] = std::move(pend);
-            transmit(channel,
-                     makeDataMessage(pads.pad[0], &pads.pad[2], hdr,
-                                     payload),
-                     hdr, ctr);
-        } else {
-            ++realWrites;
-            // The write's junk reply is discarded; completion is
-            // posted at delivery, as in the split scheme.
-            PendingRead pend{MemPacket{}, nullptr, true};
-            pend.lastSend = curTick();
-            pend.rbFirst = hdr;
-            pend.rbPayload = payload;
-            cs.pending[hdr.tag] = std::move(pend);
-            transmit(channel,
-                     makeDataMessage(pads.pad[0], &pads.pad[2], hdr,
-                                     payload),
-                     hdr, ctr, std::move(pkt), std::move(cb));
-        }
-        ensureWatchdog(channel);
-        return;
-    }
-
-    if (pkt.isRead()) {
-        ++realReads;
-        ++pairedDummies;
-        // Message 1: the real read request.
-        WireHeader hdr;
-        hdr.cmd = MemCmd::Read;
-        hdr.addr = pkt.addr;
-        hdr.tag = allocTag(cs);
-        {
-            PendingRead pend{std::move(pkt), std::move(cb), false};
-            pend.lastSend = curTick();
-            pend.rbFirst = hdr;
-            cs.pending[hdr.tag] = std::move(pend);
-        }
-        ++cs.outstandingReads;
-
-        transmit(channel, makeHeaderMessage(pads.pad[0], hdr), hdr, ctr);
-
-        // Message 2: the paired write. When writes are piling up, a
-        // real one substitutes for the dummy - same wire pattern, no
-        // wasted bandwidth (the Sec. 3.3 optimization that makes the
-        // split scheme beat uniform packets). Below the watermark the
-        // droppable dummy is cheaper for the PCM banks.
-        if (cs.writeQueue.size() > params.writeQueueLowWatermark) {
-            ++pairSubstitutions;
-            QueuedWrite qw = std::move(cs.writeQueue.front());
-            cs.writeQueue.pop_front();
-
-            WireHeader whdr;
-            whdr.cmd = MemCmd::Write;
-            whdr.addr = qw.pkt.addr;
-            DataBlock payload = qw.pkt.data;
-            {
-                PendingRead &pend = cs.pending[hdr.tag];
-                pend.rbSecond = whdr;
-                pend.rbPayload = payload;
-            }
-            transmit(channel,
-                     makeDataMessage(pads.pad[1], &pads.pad[2], whdr,
-                                     payload),
-                     whdr, ctr + 1, std::move(qw.pkt), std::move(qw.cb));
-            ensureWatchdog(channel);
-            return;
-        }
-
-        WireHeader dummy_hdr;
-        dummy_hdr.cmd = MemCmd::Write;
-        dummy_hdr.addr = dummyAddrFor(channel, hdr.addr);
-        dummy_hdr.dummy = true;
-        DataBlock junk;
-        junkRng.fillBytes(junk.data(), junk.size());
-        {
-            PendingRead &pend = cs.pending[hdr.tag];
-            pend.rbSecond = dummy_hdr;
-            pend.rbPayload = junk;
-        }
         transmit(channel,
-                 makeDataMessage(pads.pad[1], &pads.pad[2], dummy_hdr,
-                                 junk),
-                 dummy_hdr, ctr + 1);
-        ensureWatchdog(channel);
+                 makeDataMessage(pads.pad[0], &pads.pad[2], group.first,
+                                 group.payload),
+                 group.first, ctr, std::move(pkt), std::move(cb));
         return;
     }
-
-    // Real write: preceded by a dummy read (reads are latency
-    // critical, writes are not - paper Sec. 3.3).
-    ++realWrites;
-    ++pairedDummies;
-    WireHeader dummy_hdr;
-    dummy_hdr.cmd = MemCmd::Read;
-    dummy_hdr.addr = dummyAddrFor(channel, pkt.addr);
-    dummy_hdr.dummy = true;
-    dummy_hdr.tag = allocTag(cs);
-    ++cs.outstandingReads;
-
-    WireHeader hdr;
-    hdr.cmd = MemCmd::Write;
-    hdr.addr = pkt.addr;
-
-    {
-        PendingRead pend{MemPacket{}, nullptr, true};
-        pend.lastSend = curTick();
-        pend.rbFirst = dummy_hdr;
-        pend.rbSecond = hdr;
-        pend.rbPayload = pkt.data;
-        cs.pending[dummy_hdr.tag] = std::move(pend);
-    }
-
-    transmit(channel, makeHeaderMessage(pads.pad[0], dummy_hdr),
-             dummy_hdr, ctr);
-
-    // Second encryption on top of the memory-encryption ciphertext:
-    // hides temporal reuse of unmodified data (Observation 1). The
-    // write is posted: its completion fires when the sealed frame has
-    // fully crossed the bus.
-    DataBlock payload = pkt.data;
+    transmit(channel, makeHeaderMessage(pads.pad[0], group.first),
+             group.first, ctr);
     transmit(channel,
-             makeDataMessage(pads.pad[1], &pads.pad[2], hdr, payload),
-             hdr, ctr + 1, std::move(pkt), std::move(cb));
-    ensureWatchdog(channel);
+             makeDataMessage(pads.pad[1], &pads.pad[2], group.second,
+                             group.payload),
+             group.second, ctr + 1, std::move(pkt), std::move(cb));
+}
+
+void
+ObfusMemProcSide::addPending(ChannelState &cs, RequestGroup &group,
+                             MemPacket pkt, PacketCallback cb)
+{
+    group.first.tag = allocTag(cs);
+    ++cs.outstandingReads;
+    PendingRead &p = cs.pending[group.first.tag];
+    p.pkt = std::move(pkt);
+    p.cb = std::move(cb);
+    p.lastSend = curTick();
+    p.group = group;
 }
 
 void
@@ -470,75 +424,21 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
 {
     ++channelFillGroups;
     ChannelState &cs = channelState[channel];
-    uint64_t ctr = cs.reqCounter;
-    OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
-               "request counter exhausted on channel ", channel);
-    cs.reqCounter += countersPerRequestGroup;
-    padsUsed += countersPerRequestGroup;
-    if (params.uniformPackets) {
-        notifyPads(channel, CounterStream::Request, ctr,
-                   countersPerRequestGroup);
-    } else {
-        notifyPads(channel, CounterStream::Request, ctr, 1);
-        notifyPads(channel, CounterStream::Request, ctr + 1,
-                   countersPerRequestGroup - 1);
-    }
-
     GroupPads pads;
-    cs.txPads.take(ctr, pads.pad.data());
-    schedulePadRefill(channel);
+    const uint64_t ctr = claimGroup(channel, pads);
 
-    if (params.uniformPackets) {
-        // One uniform dummy read message fills the channel.
-        WireHeader rd;
-        rd.cmd = MemCmd::Read;
-        rd.addr = cs.dummyAddr;
-        rd.dummy = true;
-        rd.tag = allocTag(cs);
-        ++cs.outstandingReads;
-
-        DataBlock junk;
-        junkRng.fillBytes(junk.data(), junk.size());
-        {
-            PendingRead pend{MemPacket{}, nullptr, true};
-            pend.lastSend = curTick();
-            pend.rbFirst = rd;
-            pend.rbPayload = junk;
-            cs.pending[rd.tag] = std::move(pend);
-        }
-        transmit(channel,
-                 makeDataMessage(pads.pad[0], &pads.pad[2], rd, junk),
-                 rd, ctr);
-        ensureWatchdog(channel);
-        return;
+    // One uniform dummy read message fills the channel; the split
+    // scheme's pair takes its addresses from the dummy policy.
+    RequestGroup group;
+    group.first = {.cmd = MemCmd::Read, .addr = cs.dummyAddr, .dummy = true};
+    group.second = {.cmd = MemCmd::Write, .dummy = true};
+    if (!params.uniformPackets) {
+        group.first.addr = dummyAddrFor(channel, cs.dummyAddr);
+        group.second.addr = dummyAddrFor(channel, cs.dummyAddr);
     }
-
-    WireHeader rd;
-    rd.cmd = MemCmd::Read;
-    rd.addr = dummyAddrFor(channel, cs.dummyAddr);
-    rd.dummy = true;
-    rd.tag = allocTag(cs);
-    ++cs.outstandingReads;
-
-    WireHeader wr;
-    wr.cmd = MemCmd::Write;
-    wr.addr = dummyAddrFor(channel, cs.dummyAddr);
-    wr.dummy = true;
-
-    transmit(channel, makeHeaderMessage(pads.pad[0], rd), rd, ctr);
-
-    DataBlock junk;
-    junkRng.fillBytes(junk.data(), junk.size());
-    {
-        PendingRead pend{MemPacket{}, nullptr, true};
-        pend.lastSend = curTick();
-        pend.rbFirst = rd;
-        pend.rbSecond = wr;
-        pend.rbPayload = junk;
-        cs.pending[rd.tag] = std::move(pend);
-    }
-    transmit(channel, makeDataMessage(pads.pad[1], &pads.pad[2], wr, junk),
-             wr, ctr + 1);
+    junkRng.fillBytes(group.payload.data(), group.payload.size());
+    addPending(cs, group);
+    emitGroup(channel, ctr, pads, group);
     ensureWatchdog(channel);
 }
 
@@ -592,23 +492,15 @@ ObfusMemProcSide::transmit(OBF_PUBLIC unsigned channel, WireMessage msg,
         [this, channel, msg = std::move(msg), pkt = std::move(pkt),
          cb = std::move(cb)](const BusFault &fault) mutable {
             ChannelState &cs2 = channelState[channel];
-            if (fault.corrupted)
-                corruptHeaderBit(msg, fault.entropy);
-            if (cs2.toMem) {
-                // Test/tooling intercept (fault injection, capture).
-                if (fault.duplicated) {
-                    WireMessage copy = msg;
-                    cs2.toMem(std::move(copy));
+            deliverFrame(std::move(msg), fault, [&cs2](WireMessage &&m) {
+                if (cs2.toMem) {
+                    // Test/tooling intercept (fault injection, capture).
+                    cs2.toMem(std::move(m));
+                    return;
                 }
-                cs2.toMem(std::move(msg));
-            } else {
                 panic_if(!cs2.memSide, "no request target wired");
-                if (fault.duplicated) {
-                    WireMessage copy = msg;
-                    cs2.memSide->receiveMessage(std::move(copy));
-                }
-                cs2.memSide->receiveMessage(std::move(msg));
-            }
+                cs2.memSide->receiveMessage(std::move(m));
+            });
             // Posted-write completion: the requester learns the write
             // crossed the bus, exactly when the far pin saw it.
             if (cb)
@@ -689,7 +581,7 @@ ObfusMemProcSide::receiveReply(unsigned channel, WireMessage &&msg)
     panic_if(cs.outstandingReads == 0, "outstanding underflow");
     --cs.outstandingReads;
 
-    if (pending.dummy) {
+    if (!pending.cb) {
         ++repliesDiscarded;
         maybeDrainWrites(channel);
         return;
@@ -779,41 +671,12 @@ ObfusMemProcSide::retransmitGroup(unsigned channel, uint16_t tag)
     // A retransmit is a brand-new group on the wire: fresh counters,
     // fresh pads, fresh MACs. Reusing the original pads would violate
     // pad freshness and hand an observer a ciphertext repeat.
-    uint64_t ctr = cs.reqCounter;
-    OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
-               "request counter exhausted on channel ", channel);
-    cs.reqCounter += countersPerRequestGroup;
-    padsUsed += countersPerRequestGroup;
-    if (params.uniformPackets) {
-        notifyPads(channel, CounterStream::Request, ctr,
-                   countersPerRequestGroup);
-    } else {
-        notifyPads(channel, CounterStream::Request, ctr, 1);
-        notifyPads(channel, CounterStream::Request, ctr + 1,
-                   countersPerRequestGroup - 1);
-    }
     GroupPads pads;
-    cs.txPads.take(ctr, pads.pad.data());
-    schedulePadRefill(channel);
-
+    const uint64_t ctr = claimGroup(channel, pads);
     ++retransmits;
     p.attempts += 1;
     p.lastSend = curTick();
-
-    if (params.uniformPackets) {
-        transmit(channel,
-                 makeDataMessage(pads.pad[0], &pads.pad[2], p.rbFirst,
-                                 p.rbPayload),
-                 p.rbFirst, ctr);
-        return;
-    }
-
-    transmit(channel, makeHeaderMessage(pads.pad[0], p.rbFirst),
-             p.rbFirst, ctr);
-    transmit(channel,
-             makeDataMessage(pads.pad[1], &pads.pad[2], p.rbSecond,
-                             p.rbPayload),
-             p.rbSecond, ctr + 1);
+    emitGroup(channel, ctr, pads, p.group);
 }
 
 void
@@ -846,28 +709,11 @@ ObfusMemProcSide::sendRekeyRequest(unsigned channel)
     // test group keeps the modexp cheap at simulation scale; the
     // handshake structure is group-agnostic.
     cs.rekeyEpoch += 1;
-    cs.respCollectEpoch = 0;
-    cs.respCollectTotal = 0;
-    cs.respCollectMask = 0;
     cs.dh = std::make_unique<crypto::DhEndpoint>(
         crypto::DhGroup::testGroup256(), rekeyRng);
-
-    std::vector<uint8_t> pub = cs.dh->publicValue().toBytes();
-    uint8_t total = static_cast<uint8_t>(
-        (pub.size() + handshakeChunkBytes - 1) / handshakeChunkBytes);
-    if (total == 0)
-        total = 1;
-    for (uint8_t i = 0; i < total; ++i) {
-        HandshakeChunk c;
-        c.epoch = cs.rekeyEpoch;
-        c.chunk = i;
-        c.total = total;
-        size_t off = static_cast<size_t>(i) * handshakeChunkBytes;
-        c.len = static_cast<uint16_t>(
-            std::min(handshakeChunkBytes, pub.size() - off));
-        std::copy_n(pub.begin() + off, c.len, c.data.begin());
-        sendControlGroup(channel, packHandshakeChunk(c));
-    }
+    for (const DataBlock &payload :
+         packHandshake(cs.rekeyEpoch, cs.dh->publicValue().toBytes()))
+        sendControlGroup(channel, payload);
     cs.rekeySentTick = curTick();
     ensureWatchdog(channel);
 }
@@ -883,32 +729,16 @@ ObfusMemProcSide::sendControlGroup(unsigned channel,
     ChannelState &cs = channelState[channel];
     uint64_t ctr = cs.ctlReqCounter;
     cs.ctlReqCounter += countersPerRequestGroup;
-    GroupPads pads = genGroupPads(cs.ctlTx, ctr);
-
-    if (params.uniformPackets) {
-        WireHeader hdr;
-        hdr.cmd = MemCmd::Write;
-        hdr.addr = cs.dummyAddr;
-        hdr.dummy = true;
-        transmit(channel,
-                 makeDataMessage(pads.pad[0], &pads.pad[2], hdr, payload),
-                 hdr, ctr);
-        return;
-    }
-
-    WireHeader rd;
-    rd.cmd = MemCmd::Read;
-    rd.addr = cs.dummyAddr;
-    rd.dummy = true;
-    WireHeader wr;
-    wr.cmd = MemCmd::Write;
-    wr.addr = cs.dummyAddr;
-    wr.dummy = true;
-
-    transmit(channel, makeHeaderMessage(pads.pad[0], rd), rd, ctr);
-    transmit(channel,
-             makeDataMessage(pads.pad[1], &pads.pad[2], wr, payload), wr,
-             ctr + 1);
+    // The uniform scheme's single frame is write-shaped.
+    RequestGroup group;
+    group.first = {.cmd = params.uniformPackets ? MemCmd::Write
+                                                : MemCmd::Read,
+                   .addr = cs.dummyAddr,
+                   .dummy = true};
+    group.second = {.cmd = MemCmd::Write, .addr = cs.dummyAddr,
+                    .dummy = true};
+    group.payload = payload;
+    emitGroup(channel, ctr, genGroupPads(cs.ctlTx, ctr), group);
 }
 
 void
@@ -982,29 +812,9 @@ ObfusMemProcSide::handleControlReply(unsigned channel,
     if (cs.health != ChannelHealth::Rekeying || !cs.dh
         || chunk.epoch != cs.rekeyEpoch)
         return; // stale response from an abandoned attempt
-    if (chunk.total == 0 || chunk.total > cs.respChunks.size()
-        || chunk.len > handshakeChunkBytes)
-        return;
-    if (cs.respCollectEpoch != chunk.epoch
-        || cs.respCollectTotal != chunk.total) {
-        cs.respCollectEpoch = chunk.epoch;
-        cs.respCollectTotal = chunk.total;
-        cs.respCollectMask = 0;
-    }
-    if (chunk.chunk >= cs.respCollectTotal)
-        return;
-    cs.respChunks[chunk.chunk] = chunk;
-    cs.respCollectMask |= 1u << chunk.chunk;
-    if (cs.respCollectMask != (1u << cs.respCollectTotal) - 1)
-        return;
-
-    std::vector<uint8_t> pub_bytes;
-    for (unsigned i = 0; i < cs.respCollectTotal; ++i) {
-        const HandshakeChunk &c = cs.respChunks[i];
-        pub_bytes.insert(pub_bytes.end(), c.data.begin(),
-                         c.data.begin() + c.len);
-    }
-    finishRekey(channel, pub_bytes);
+    std::optional<std::vector<uint8_t>> peer_pub = cs.response.add(chunk);
+    if (peer_pub)
+        finishRekey(channel, *peer_pub);
 }
 
 void

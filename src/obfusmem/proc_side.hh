@@ -85,26 +85,6 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** Replies delivered from a channel's memory side. */
     void receiveReply(unsigned channel, WireMessage &&msg);
 
-    uint64_t tamperDetections() const
-    {
-        return static_cast<uint64_t>(macFailures.value());
-    }
-
-    uint64_t desyncEvents() const
-    {
-        return static_cast<uint64_t>(headerDesyncs.value());
-    }
-
-    uint64_t padsGenerated() const
-    {
-        return static_cast<uint64_t>(padsUsed.value());
-    }
-
-    uint64_t dummyGroupsInjected() const
-    {
-        return static_cast<uint64_t>(channelFillGroups.value());
-    }
-
     /** Test hook: skew a channel's response counter. */
     void
     skewResponseCounter(unsigned channel, uint64_t delta)
@@ -118,38 +98,7 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** Attach the trace auditor's endpoint hook (may be null). */
     void setAuditHook(AuditHook *hook) { audit = hook; }
 
-    // --- Recovery observability (tests / tools) ---------------------
-
-    uint64_t retransmitCount() const
-    {
-        return static_cast<uint64_t>(retransmits.value());
-    }
-
-    uint64_t resyncCount() const
-    {
-        return static_cast<uint64_t>(resyncs.value());
-    }
-
-    uint64_t discardedFrames() const
-    {
-        return static_cast<uint64_t>(framesDiscarded.value());
-    }
-
-    uint64_t rekeysStartedCount() const
-    {
-        return static_cast<uint64_t>(rekeysStarted.value());
-    }
-
-    uint64_t rekeysCompletedCount() const
-    {
-        return static_cast<uint64_t>(rekeysCompleted.value());
-    }
-
-    uint64_t quarantineCount() const
-    {
-        return static_cast<uint64_t>(quarantines.value());
-    }
-
+    /** Whether recovery took a channel out of service. */
     bool channelQuarantined(unsigned channel) const
     {
         return channelState[channel].health
@@ -165,23 +114,35 @@ class ObfusMemProcSide : public SimObject, public MemSink
         Quarantined, ///< re-key failed repeatedly; out of service
     };
 
+    /**
+     * One request group's plaintext: the first frame's header, the
+     * split scheme's paired second header, and the 64-byte payload of
+     * the frame that carries data. The uniform scheme sends `first`
+     * with the payload as one frame and leaves `second` unused.
+     */
+    struct RequestGroup
+    {
+        WireHeader first{};
+        WireHeader second{};
+        DataBlock payload{};
+    };
+
+    /**
+     * A group awaiting its reply. A real read waits with its
+     * requester's packet and callback; the reply to any other group
+     * (no callback) is discarded.
+     */
     struct PendingRead
     {
         MemPacket pkt;
         PacketCallback cb;
-        bool dummy = false;
-        /**
-         * Retry state: when and how often the group was (re)sent, and
-         * its plaintext contents so it can be rebuilt verbatim at
-         * fresh counters (retransmits must never reuse a pad).
-         */
+        /** Retry state: when and how often the group was (re)sent. */
         Tick lastSend = 0;
         unsigned attempts = 0;
-        /** Plaintext headers/payload held for rebuild: secret until
-         * re-encrypted at fresh counters. */
-        OBF_SECRET WireHeader rbFirst{};
-        OBF_SECRET WireHeader rbSecond{};
-        OBF_SECRET DataBlock rbPayload{};
+        /** Held so a retransmit rebuilds the group verbatim at fresh
+         * counters (a pad is never reused): secret until
+         * re-encrypted. */
+        OBF_SECRET RequestGroup group{};
     };
 
     /** A write group waiting in the controller's write buffer. */
@@ -233,11 +194,8 @@ class ObfusMemProcSide : public SimObject, public MemSink
         unsigned rekeyAttempts = 0;
         Tick rekeySentTick = 0;
         std::unique_ptr<crypto::DhEndpoint> dh;
-        /** Response-chunk collection for the current epoch. */
-        uint32_t respCollectEpoch = 0;
-        uint8_t respCollectTotal = 0;
-        uint32_t respCollectMask = 0;
-        std::array<HandshakeChunk, 8> respChunks{};
+        /** The memory side's handshake response, chunk by chunk. */
+        HandshakeAssembly response;
         /** Requests held while the channel re-keys. */
         std::deque<QueuedWrite> rekeyHold;
     };
@@ -247,6 +205,33 @@ class ObfusMemProcSide : public SimObject, public MemSink
 
     /** Send one request group (real + paired dummy) on a channel. */
     void sendGroup(unsigned channel, MemPacket pkt, PacketCallback cb);
+
+    /**
+     * Claim the next data-plane group on a channel: take its six
+     * counters, count and report its pads, and fill `pads` from the
+     * prefetch ring. Returns the group's first counter. The channel
+     * is the bus the group is seen on, so it is public.
+     */
+    uint64_t claimGroup(OBF_PUBLIC unsigned channel, GroupPads &pads);
+
+    /**
+     * Put a group on the wire at `ctr` with its pads. Uniform scheme:
+     * one data frame at `ctr`. Split scheme: `first` as a header
+     * frame at `ctr`, then `second` with the payload as a data frame
+     * at `ctr + 1`. A set `cb` completes `pkt` (a posted write) when
+     * the data frame reaches the far pin.
+     */
+    void emitGroup(unsigned channel, uint64_t ctr, const GroupPads &pads,
+                   const RequestGroup &group, MemPacket pkt = {},
+                   PacketCallback cb = nullptr);
+
+    /**
+     * Tag a group and hold it until its reply arrives. Pass the
+     * packet and callback of the real read that waits for the reply;
+     * without them the reply is discarded.
+     */
+    void addPending(ChannelState &cs, RequestGroup &group,
+                    MemPacket pkt = {}, PacketCallback cb = nullptr);
 
     /** Drain buffered write groups per the read-priority policy. */
     void maybeDrainWrites(unsigned channel);
@@ -268,11 +253,11 @@ class ObfusMemProcSide : public SimObject, public MemSink
 
     /**
      * Seal a built frame with the MAC of (`hdr`, `mac_ctr`) when
-     * authenticating and enqueue it on the channel's bus (the bus
-     * callback owns the delivery). A set `cb` completes `pkt` (a
-     * posted write) when the frame reaches the far pin. The channel
-     * is the bus the frame is seen on, so it is public. So is `cb`:
-     * it is the requester's completion hook, and whether a frame
+     * authenticating and enqueue it on the channel's bus; the bus
+     * callback delivers it through deliverFrame. A set `cb` completes
+     * `pkt` (a posted write) when the frame reaches the far pin. The
+     * channel is the bus the frame is seen on, so it is public. So is
+     * `cb`: it is the requester's completion hook, and whether a frame
      * carries one is simulator plumbing, never wire data or key
      * material.
      */
@@ -304,7 +289,7 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** Send (or resend) the handshake for the next epoch attempt. */
     void sendRekeyRequest(unsigned channel);
 
-    /** Send one request-group-shaped frame pair on the control plane. */
+    /** Send one request-group-shaped group on the control plane. */
     void sendControlGroup(unsigned channel, const DataBlock &payload);
 
     /**

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "util/assert.hh"
+
 namespace obfusmem {
 
 namespace {
@@ -187,6 +189,54 @@ unpackHandshakeChunk(const DataBlock &b)
         return std::nullopt;
     std::copy_n(b.data() + 10, handshakeChunkBytes, c.data.data());
     return c;
+}
+
+std::vector<DataBlock>
+packHandshake(uint32_t epoch, const std::vector<uint8_t> &value)
+{
+    const size_t total = std::max<size_t>(
+        1, (value.size() + handshakeChunkBytes - 1) / handshakeChunkBytes);
+    OBF_ASSERT(total <= maxHandshakeChunks, "handshake value of ",
+               value.size(), " bytes needs more than ",
+               maxHandshakeChunks, " chunks");
+    std::vector<DataBlock> payloads;
+    for (size_t i = 0; i < total; ++i) {
+        HandshakeChunk c;
+        c.epoch = epoch;
+        c.chunk = static_cast<uint8_t>(i);
+        c.total = static_cast<uint8_t>(total);
+        const size_t off = i * handshakeChunkBytes;
+        c.len = static_cast<uint16_t>(
+            std::min(handshakeChunkBytes, value.size() - off));
+        std::copy_n(value.begin() + off, c.len, c.data.begin());
+        payloads.push_back(packHandshakeChunk(c));
+    }
+    return payloads;
+}
+
+std::optional<std::vector<uint8_t>>
+HandshakeAssembly::add(const HandshakeChunk &c)
+{
+    if (c.total == 0 || c.total > maxHandshakeChunks
+        || c.len > handshakeChunkBytes)
+        return std::nullopt;
+    if (epoch != c.epoch || total != c.total) {
+        epoch = c.epoch;
+        total = c.total;
+        mask = 0;
+    }
+    if (c.chunk >= total)
+        return std::nullopt;
+    chunks[c.chunk] = c;
+    mask |= 1u << c.chunk;
+    if (mask != (1u << total) - 1)
+        return std::nullopt;
+
+    std::vector<uint8_t> value;
+    for (unsigned i = 0; i < total; ++i)
+        value.insert(value.end(), chunks[i].data.begin(),
+                     chunks[i].data.begin() + chunks[i].len);
+    return value;
 }
 
 } // namespace obfusmem

@@ -23,9 +23,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "crypto/ctr_mode.hh"
 #include "crypto/md5.hh"
+#include "mem/channel_bus.hh"
 #include "mem/packet.hh"
 #include "util/secret.hh"
 
@@ -176,6 +178,24 @@ void attachMac(WireMessage &msg, const crypto::Md5Digest &digest);
  */
 void corruptHeaderBit(WireMessage &msg, uint64_t entropy);
 
+/**
+ * Hand a frame that crossed the bus to `receive` as the far end
+ * latches it: with one header bit flipped if the bus corrupted it,
+ * and twice if the bus duplicated it. Both endpoints deliver through
+ * here; `receive` picks the test/tooling intercept or the production
+ * endpoint.
+ */
+template <typename Receive>
+void
+deliverFrame(WireMessage &&msg, const BusFault &fault, Receive &&receive)
+{
+    if (fault.corrupted)
+        corruptHeaderBit(msg, fault.entropy);
+    if (fault.duplicated)
+        receive(WireMessage(msg));
+    receive(std::move(msg));
+}
+
 // --- Re-key handshake payload codec ---------------------------------
 //
 // DH public values ride inside ordinary-looking 64-byte payloads so
@@ -200,6 +220,9 @@ struct HandshakeChunk
 /** Maximum value bytes per handshake chunk. */
 constexpr size_t handshakeChunkBytes = 54;
 
+/** Most chunks one handshake value may span. */
+constexpr unsigned maxHandshakeChunks = 8;
+
 /** Serialize a handshake chunk into a payload block. */
 DataBlock packHandshakeChunk(const HandshakeChunk &c);
 
@@ -208,6 +231,32 @@ DataBlock packHandshakeChunk(const HandshakeChunk &c);
  * @return chunk, or nullopt if the block is not a plausible chunk.
  */
 std::optional<HandshakeChunk> unpackHandshakeChunk(const DataBlock &b);
+
+/**
+ * Split a handshake value into the payloads of its chunks, in chunk
+ * order (one empty chunk for an empty value). The value is a DH
+ * public value, so it is public.
+ */
+std::vector<DataBlock>
+packHandshake(uint32_t epoch, OBF_PUBLIC const std::vector<uint8_t> &value);
+
+/**
+ * Collects the chunks of one handshake value, in any order. A chunk
+ * of another epoch or chunk count restarts the collection; a chunk
+ * that claims more than maxHandshakeChunks chunks is ignored.
+ */
+class HandshakeAssembly
+{
+  public:
+    /** The whole value once every chunk of one epoch is in. */
+    std::optional<std::vector<uint8_t>> add(const HandshakeChunk &c);
+
+  private:
+    uint32_t epoch = 0;
+    uint8_t total = 0;
+    uint32_t mask = 0;
+    std::array<HandshakeChunk, maxHandshakeChunks> chunks{};
+};
 
 } // namespace obfusmem
 

@@ -121,11 +121,6 @@ class MemoryEncryptionEngine : public SimObject, public MemSink
      */
     void tamperCounter(uint64_t addr);
 
-    uint64_t integrityViolationCount() const
-    {
-        return static_cast<uint64_t>(integrityViolations.value());
-    }
-
   private:
     struct PageCounters
     {

@@ -8,7 +8,6 @@
 #include <istream>
 #include <ostream>
 
-#include "util/env.hh"
 #include "util/logging.hh"
 #include "util/serial.hh"
 
@@ -453,25 +452,6 @@ const char *
 protectionModeName(ProtectionMode mode)
 {
     return backendInfo(mode).name;
-}
-
-ProtectionMode
-protectionModeFromEnv(ProtectionMode fallback)
-{
-    const char *v = env::raw("OBFUSMEM_BACKEND");
-    if (!v)
-        return fallback;
-    if (const ObliviousBackendInfo *info = backendInfoByName(v))
-        return info->mode;
-    std::string options;
-    for (const auto &info : allBackendInfos()) {
-        if (!options.empty())
-            options += ", ";
-        options += info.name;
-    }
-    warn("OBFUSMEM_BACKEND=\"", v, "\" is not one of {", options,
-         "}; using ", protectionModeName(fallback));
-    return fallback;
 }
 
 } // namespace obfusmem

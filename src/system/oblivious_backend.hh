@@ -12,9 +12,8 @@
  * The registry (ObliviousBackendInfo) is a function table in the
  * obfuscator-vtable style: one static row per ProtectionMode carrying
  * the mode's name, its substrate needs, and its create function, so
- * System assembly, the benches' mode sweeps, and the OBFUSMEM_BACKEND
- * environment knob all drive off the same table instead of scattered
- * switch statements.
+ * System assembly, the benches' mode sweeps, and `obfussim --mode` all
+ * drive off the same table instead of scattered switch statements.
  */
 
 #ifndef OBFUSMEM_SYSTEM_OBLIVIOUS_BACKEND_HH
@@ -140,12 +139,6 @@ const ObliviousBackendInfo *backendInfoByName(std::string_view name);
 
 /** All registry rows, in ProtectionMode declaration order. */
 const std::vector<ObliviousBackendInfo> &allBackendInfos();
-
-/**
- * Mode selected by the OBFUSMEM_BACKEND environment knob, or
- * @p fallback when unset; warns and falls back on an unknown name.
- */
-ProtectionMode protectionModeFromEnv(ProtectionMode fallback);
 
 } // namespace obfusmem
 

@@ -92,9 +92,26 @@ u64(const char *name, uint64_t def, uint64_t max = UINT64_MAX)
 }
 
 /**
+ * Parse a whole string as a plain non-negative decimal number
+ * (fractional part allowed): no sign, leading whitespace or trailing
+ * characters, and a finite result. std::nullopt on anything else.
+ */
+inline std::optional<double>
+parseF64(const char *s)
+{
+    char *end = nullptr;
+    errno = 0;
+    double parsed = std::strtod(s, &end);
+    bool leading_digit = (s[0] >= '0' && s[0] <= '9') || s[0] == '.';
+    if (!leading_digit || end == s || *end != '\0' || errno == ERANGE
+        || !std::isfinite(parsed) || parsed < 0)
+        return std::nullopt;
+    return parsed;
+}
+
+/**
  * Floating-point knob (for probabilities and ratios). Same contract
- * as u64: a plain non-negative decimal (fractional part allowed),
- * warn-and-default on anything else, including non-finite results.
+ * as u64: parsed by parseF64, warn-and-default on anything else.
  */
 inline double
 f64(const char *name, double def)
@@ -102,17 +119,13 @@ f64(const char *name, double def)
     const char *v = raw(name);
     if (!v)
         return def;
-    char *end = nullptr;
-    errno = 0;
-    double parsed = std::strtod(v, &end);
-    bool leading_digit = (v[0] >= '0' && v[0] <= '9') || v[0] == '.';
-    if (!leading_digit || end == v || *end != '\0' || errno == ERANGE
-        || !std::isfinite(parsed) || parsed < 0) {
+    const std::optional<double> parsed = parseF64(v);
+    if (!parsed) {
         warn(name, "=\"", v, "\" is not a valid number; using default ",
              def);
         return def;
     }
-    return parsed;
+    return *parsed;
 }
 
 /**

@@ -7,15 +7,10 @@
  * serialize vtable half, and (d) produce bit-identical wire traces
  * whether the bench runner uses 1 or 4 worker threads and whichever
  * event-queue backend is configured.
- *
- * A CI backend-matrix leg can narrow the parameterized sweep to one
- * backend by setting OBFUSMEM_BACKEND; the other parameterizations
- * then skip.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -139,20 +134,6 @@ checkStructuralInvariants(System &sys)
 class BackendConformance
     : public ::testing::TestWithParam<ProtectionMode>
 {
-  protected:
-    void SetUp() override
-    {
-        // Honor the CI backend-matrix knob: when OBFUSMEM_BACKEND
-        // names one backend, only its parameterization runs.
-        const char *only = std::getenv("OBFUSMEM_BACKEND");
-        if (only && *only) {
-            const ObliviousBackendInfo *info =
-                backendInfoByName(only);
-            if (info && info->mode != GetParam())
-                GTEST_SKIP() << "OBFUSMEM_BACKEND narrows suite to "
-                             << info->name;
-        }
-    }
 };
 
 } // namespace
@@ -297,25 +278,3 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-TEST(BackendSelection, EnvKnobSelectsBackend)
-{
-    const char *saved = std::getenv("OBFUSMEM_BACKEND");
-    std::string saved_value = saved ? saved : "";
-
-    setenv("OBFUSMEM_BACKEND", "flat-oram", 1);
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::Unprotected),
-              ProtectionMode::FlatOram);
-    setenv("OBFUSMEM_BACKEND", "write-only-oram", 1);
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::Unprotected),
-              ProtectionMode::WriteOnlyOram);
-    setenv("OBFUSMEM_BACKEND", "not-a-backend", 1);
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::ObfusMemAuth),
-              ProtectionMode::ObfusMemAuth);
-    unsetenv("OBFUSMEM_BACKEND");
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::OramFixed),
-              ProtectionMode::OramFixed);
-
-    if (!saved_value.empty())
-        setenv("OBFUSMEM_BACKEND", saved_value.c_str(), 1);
-}

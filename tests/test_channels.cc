@@ -54,7 +54,7 @@ TEST(Channels, NoSchemeLeaksSoloChannelActivity)
     // on exactly one channel: the spatial pattern leaks through the
     // per-channel pins.
     EXPECT_GT(sys.observer()->soloBucketFraction(), 0.03);
-    EXPECT_EQ(sys.procSide()->dummyGroupsInjected(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.channelFillGroups"), 0u);
 }
 
 TEST(Channels, OptHidesSoloChannelActivity)
@@ -65,7 +65,9 @@ TEST(Channels, OptHidesSoloChannelActivity)
     opt_sys.run();
     EXPECT_LT(opt_sys.observer()->soloBucketFraction(),
               none_sys.observer()->soloBucketFraction() / 2);
-    EXPECT_GT(opt_sys.procSide()->dummyGroupsInjected(), 0u);
+    EXPECT_GT(
+        opt_sys.rootStats().scalarValue("obfusProc.channelFillGroups"),
+        0u);
 }
 
 TEST(Channels, UnoptInjectsAtLeastAsManyDummiesAsOpt)
@@ -74,8 +76,9 @@ TEST(Channels, UnoptInjectsAtLeastAsManyDummiesAsOpt)
     opt_sys.run();
     System unopt_sys(channelConfig(ChannelScheme::Unopt, 4));
     unopt_sys.run();
-    EXPECT_GE(unopt_sys.procSide()->dummyGroupsInjected(),
-              opt_sys.procSide()->dummyGroupsInjected());
+    const char *fills = "obfusProc.channelFillGroups";
+    EXPECT_GE(unopt_sys.rootStats().scalarValue(fills),
+              opt_sys.rootStats().scalarValue(fills));
 }
 
 TEST(Channels, UnoptIsSlowerOrEqualToOpt)
@@ -108,7 +111,7 @@ TEST(Channels, SingleChannelNeedsNoInjection)
 {
     System sys(channelConfig(ChannelScheme::Opt, 1));
     sys.run();
-    EXPECT_EQ(sys.procSide()->dummyGroupsInjected(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.channelFillGroups"), 0u);
 }
 
 class ChannelCountSweep : public ::testing::TestWithParam<unsigned>
@@ -135,7 +138,7 @@ TEST(Channels, CounterSyncHoldsOnEveryChannel)
     System sys(channelConfig(ChannelScheme::Unopt, 4));
     sys.run();
     for (auto &side : sys.memSides()) {
-        EXPECT_EQ(side->desyncEvents(), 0u);
-        EXPECT_EQ(side->tamperDetections(), 0u);
+        EXPECT_EQ(side->stats().scalarValue("headerDesyncs"), 0u);
+        EXPECT_EQ(side->stats().scalarValue("macFailures"), 0u);
     }
 }

@@ -207,20 +207,20 @@ TEST_F(EngineFixture, TamperedCounterDetected)
     makeEngine(true);
     DataBlock data{};
     write(0x400000, data);
-    EXPECT_EQ(engine->integrityViolationCount(), 0u);
+    EXPECT_EQ(engine->stats().scalarValue("integrityViolations"), 0u);
 
     // Evict the (dirty) counter block so it is written back to
     // memory and the Merkle tree covers it: read far-away pages
     // until the 4096-entry counter cache wraps.
     for (uint64_t p = 0; p < 5000; ++p)
         read(0x10000000 + p * 4096);
-    EXPECT_EQ(engine->integrityViolationCount(), 0u);
+    EXPECT_EQ(engine->stats().scalarValue("integrityViolations"), 0u);
 
     // Now the attacker flips bits in the counter *storage*; the
     // next fetch must fail verification against the on-chip root.
     engine->tamperCounter(0x400000);
     read(0x400000);
-    EXPECT_GE(engine->integrityViolationCount(), 1u);
+    EXPECT_GE(engine->stats().scalarValue("integrityViolations"), 1u);
 }
 
 TEST_F(EngineFixture, RacingReadSeesInflightWrite)

@@ -211,10 +211,10 @@ TEST(ObfusMem, CountersStaySynchronized)
 {
     System sys(smallConfig(ProtectionMode::ObfusMemAuth));
     sys.run();
-    EXPECT_EQ(sys.memSides()[0]->desyncEvents(), 0u);
-    EXPECT_EQ(sys.memSides()[0]->tamperDetections(), 0u);
-    EXPECT_EQ(sys.procSide()->desyncEvents(), 0u);
-    EXPECT_EQ(sys.procSide()->tamperDetections(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.headerDesyncs"), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.macFailures"), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.headerDesyncs"), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.macFailures"), 0u);
 }
 
 TEST(ObfusMem, DroppedMessageDetectedAsDesync)
@@ -237,8 +237,8 @@ TEST(ObfusMem, DroppedMessageDetectedAsDesync)
     // The request decrypts to garbage at the memory: no reply, and
     // the incident is counted (DoS, not silent corruption).
     EXPECT_FALSE(completed);
-    EXPECT_GE(sys.memSides()[0]->desyncEvents()
-                  + sys.memSides()[0]->tamperDetections(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusMem0.headerDesyncs")
+                  + sys.rootStats().scalarValue("obfusMem0.macFailures"),
               1u);
 }
 
@@ -252,8 +252,8 @@ TEST(ObfusMem, ReplayedReplyDetected)
     sys.timedLoad(0, 0x40000000, [&](Tick) { completed = true; });
     sys.eventQueue().run();
     EXPECT_FALSE(completed);
-    EXPECT_GE(sys.procSide()->desyncEvents()
-                  + sys.procSide()->tamperDetections(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.headerDesyncs")
+                  + sys.rootStats().scalarValue("obfusProc.macFailures"),
               1u);
 }
 
@@ -273,7 +273,7 @@ TEST(ObfusMem, PadAccountingMatchesPaperRecipe)
                      - ps.stats().scalarValue("forwardedFromWriteQueue")
                      - ps.stats().scalarValue("realFillSubstitutions");
     (void)replies;
-    EXPECT_GE(ps.padsGenerated(),
+    EXPECT_GE(ps.stats().scalarValue("padsUsed"),
               static_cast<uint64_t>(groups
                                     * countersPerRequestGroup));
 }
@@ -288,7 +288,7 @@ TEST(ObfusMem, BootProtocolKeysWork)
     sys.eventQueue().run();
     sys.flushAndDrain();
     EXPECT_EQ(sys.functionalRead(0x7000), data);
-    EXPECT_EQ(sys.memSides()[0]->desyncEvents(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.headerDesyncs"), 0u);
 }
 
 TEST(ObfusMem, AuthCostsMoreThanNoAuth)
@@ -323,7 +323,7 @@ TEST_P(DummyPolicySweep, FunctionalUnderAllPolicies)
     // And a short workload still completes with synchronized state.
     auto result = sys.run();
     EXPECT_GT(result.instructions, 0u);
-    EXPECT_EQ(sys.memSides()[0]->desyncEvents(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.headerDesyncs"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, DummyPolicySweep,
@@ -370,7 +370,7 @@ TEST(ObfusMem, UniformPacketsFunctional)
 
     auto r = sys.run();
     EXPECT_GT(r.instructions, 0u);
-    EXPECT_EQ(sys.memSides()[0]->desyncEvents(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.headerDesyncs"), 0u);
 }
 
 TEST(ObfusMem, UniformPacketsHideTypesBySize)
@@ -516,7 +516,7 @@ TEST(PadPrefetch, PrefetchedRunStaysFunctional)
 
     auto r = sys.run();
     EXPECT_GT(r.instructions, 0u);
-    EXPECT_EQ(sys.memSides()[0]->desyncEvents(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.headerDesyncs"), 0u);
     EXPECT_GT(sys.procSide()->stats().scalarValue("padPrefetchHits"),
               0.0);
 }
@@ -568,8 +568,8 @@ TEST(PadPrefetch, CounterSkewStillDetectedWithPrefetchOn)
     sys.timedLoad(0, 0x40000000, [&](Tick) { completed = true; });
     sys.eventQueue().run();
     EXPECT_FALSE(completed);
-    EXPECT_GE(sys.memSides()[0]->desyncEvents()
-                  + sys.memSides()[0]->tamperDetections(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusMem0.headerDesyncs")
+                  + sys.rootStats().scalarValue("obfusMem0.macFailures"),
               1u);
 }
 
@@ -584,8 +584,8 @@ TEST(PadPrefetch, ReplySkewStillDetectedWithPrefetchOn)
     sys.timedLoad(0, 0x40000000, [&](Tick) { completed = true; });
     sys.eventQueue().run();
     EXPECT_FALSE(completed);
-    EXPECT_GE(sys.procSide()->desyncEvents()
-                  + sys.procSide()->tamperDetections(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.headerDesyncs")
+                  + sys.rootStats().scalarValue("obfusProc.macFailures"),
               1u);
 }
 
@@ -761,8 +761,10 @@ wireImage(bool uniform, double corrupt_prob = 0)
     out.replies = rep.h;
     out.snoops = snoop.fnv.h;
     out.snoopCount = snoop.count;
-    out.retransmits = proc->retransmitCount();
-    out.rekeys = proc->rekeysCompletedCount();
+    out.retransmits = static_cast<uint64_t>(
+        sys.rootStats().scalarValue("obfusProc.retransmits"));
+    out.rekeys = static_cast<uint64_t>(
+        sys.rootStats().scalarValue("obfusProc.rekeysCompleted"));
     return out;
 }
 
@@ -823,5 +825,20 @@ TEST(WireImage, FramesAndSnoopMatchRecordedDigests)
         want.replies = 0x62d70bc07ebfa744ull;
         want.snoops = 0x7710d9293dd98491ull;
         expectWireImage(wireImage(false, 0.05), want);
+    }
+    {
+        // The uniform scheme's retransmits and control groups are
+        // single data frames; pin them as well.
+        SCOPED_TRACE("uniform scheme, corrupted frames");
+        WireImage want;
+        want.requestFrames = 1127;
+        want.replyFrames = 1081;
+        want.snoopCount = 2208;
+        want.retransmits = 97;
+        want.rekeys = 7;
+        want.requests = 0x1dea7e68dd605537ull;
+        want.replies = 0x60f6aaf9a228974bull;
+        want.snoops = 0x84b412b3d68e2f92ull;
+        expectWireImage(wireImage(true, 0.05), want);
     }
 }

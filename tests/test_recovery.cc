@@ -123,8 +123,8 @@ TEST(Recovery, WholeGroupLossRecoveredByRetry)
     sys.eventQueue().run();
 
     EXPECT_TRUE(completed);
-    EXPECT_GE(sys.procSide()->retransmitCount(), 1u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 0u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.retransmits"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 0u);
     EXPECT_FALSE(sys.procSide()->channelQuarantined(0));
 }
 
@@ -144,8 +144,8 @@ TEST(Recovery, SingleFrameLossResyncsMemorySide)
     sys.eventQueue().run();
 
     EXPECT_TRUE(completed);
-    EXPECT_GE(sys.memSides()[0]->resyncCount(), 1u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 0u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusMem0.resyncs"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 0u);
 }
 
 TEST(Recovery, ReplyLossRecoveredByRetryAndResync)
@@ -164,9 +164,9 @@ TEST(Recovery, ReplyLossRecoveredByRetryAndResync)
     sys.eventQueue().run();
 
     EXPECT_TRUE(completed);
-    EXPECT_GE(sys.procSide()->retransmitCount(), 1u);
-    EXPECT_GE(sys.procSide()->resyncCount(), 1u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 0u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.retransmits"), 1u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.resyncs"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 0u);
 }
 
 TEST(Recovery, CorruptedFrameRecoveredByRetry)
@@ -187,11 +187,11 @@ TEST(Recovery, CorruptedFrameRecoveredByRetry)
     EXPECT_TRUE(completed);
     // The frame is rejected (MAC mismatch or unattributable) and the
     // group is retried; either way the request is eventually served.
-    EXPECT_GE(sys.memSides()[0]->tamperDetections()
-                  + sys.memSides()[0]->discardedFrames(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusMem0.macFailures")
+                  + sys.rootStats().scalarValue("obfusMem0.framesDiscarded"),
               1u);
-    EXPECT_GE(sys.procSide()->retransmitCount(), 1u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 0u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.retransmits"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 0u);
 }
 
 TEST(Recovery, DuplicatedFramesAreDiscardedHarmlessly)
@@ -212,9 +212,9 @@ TEST(Recovery, DuplicatedFramesAreDiscardedHarmlessly)
     sys.eventQueue().run();
 
     EXPECT_TRUE(completed);
-    EXPECT_GE(sys.memSides()[0]->discardedFrames(), 1u);
-    EXPECT_EQ(sys.memSides()[0]->resyncCount(), 0u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 0u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusMem0.framesDiscarded"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.resyncs"), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 0u);
 }
 
 // --- Re-key and quarantine escalation -------------------------------
@@ -226,9 +226,9 @@ TEST(Recovery, PersistentTamperTriggersSuccessfulRekey)
     // gives up on retries and opens a re-key handshake; from then on
     // let traffic through so the handshake (on the always-valid
     // control streams) can complete and the pending reads replay.
-    ObfusMemProcSide *proc = sys.procSide();
-    interceptRequests(sys, [proc](WireMessage &msg) {
-        if (proc->rekeysStartedCount() == 0)
+    const statistics::Group &stats = sys.rootStats();
+    interceptRequests(sys, [&stats](WireMessage &msg) {
+        if (stats.scalarValue("obfusProc.rekeysStarted") == 0)
             msg.cipherHeader[0] ^= 0x01;
         return true;
     });
@@ -238,10 +238,10 @@ TEST(Recovery, PersistentTamperTriggersSuccessfulRekey)
     sys.eventQueue().run();
 
     EXPECT_TRUE(completed);
-    EXPECT_EQ(sys.procSide()->rekeysStartedCount(), 1u);
-    EXPECT_EQ(sys.procSide()->rekeysCompletedCount(), 1u);
-    EXPECT_EQ(sys.memSides()[0]->rekeysInstalled(), 1u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.rekeysStarted"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.rekeysCompleted"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusMem0.rekeysCompleted"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 0u);
     EXPECT_FALSE(sys.procSide()->channelQuarantined(0));
 }
 
@@ -262,9 +262,9 @@ TEST(Recovery, UnrecoverableChannelIsQuarantined)
     sys.eventQueue().run();
 
     EXPECT_FALSE(completed);
-    EXPECT_GE(sys.procSide()->rekeysStartedCount(), 1u);
-    EXPECT_EQ(sys.procSide()->rekeysCompletedCount(), 0u);
-    EXPECT_EQ(sys.procSide()->quarantineCount(), 1u);
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.rekeysStarted"), 1u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.rekeysCompleted"), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.quarantines"), 1u);
     EXPECT_TRUE(sys.procSide()->channelQuarantined(0));
 
     // The quarantined channel refuses new work without hanging.
@@ -289,7 +289,7 @@ TEST(Recovery, DisabledRecoveryKeepsFailStopSemantics)
     sys.eventQueue().run();
 
     EXPECT_FALSE(completed);
-    EXPECT_EQ(sys.procSide()->retransmitCount(), 0u);
+    EXPECT_EQ(sys.rootStats().scalarValue("obfusProc.retransmits"), 0u);
 }
 
 // --- Whole-system runs ----------------------------------------------
@@ -309,10 +309,10 @@ TEST(Recovery, FaultInjectedRunServicesAllRequestsAndAuditsClean)
     EXPECT_TRUE(sys.auditor()->finalize());
     EXPECT_EQ(sys.auditor()->totalViolations(), 0u);
     // The run must actually have exercised recovery, not dodged it.
-    EXPECT_GE(sys.procSide()->retransmitCount()
-                  + sys.procSide()->resyncCount()
-                  + sys.memSides()[0]->resyncCount()
-                  + sys.memSides()[1]->resyncCount(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusProc.retransmits")
+                  + sys.rootStats().scalarValue("obfusProc.resyncs")
+                  + sys.rootStats().scalarValue("obfusMem0.resyncs")
+                  + sys.rootStats().scalarValue("obfusMem1.resyncs"),
               1u);
     EXPECT_FALSE(sys.procSide()->channelQuarantined(0));
     EXPECT_FALSE(sys.procSide()->channelQuarantined(1));

@@ -232,8 +232,8 @@ TEST(TraceAuditor, BitFlippedHeaderFlagged)
     EXPECT_FALSE(completed);
     // The memory side must reject the message (MAC mismatch or
     // unparseable header) and the auditor must have the incident.
-    EXPECT_GE(sys.memSides()[0]->tamperDetections()
-                  + sys.memSides()[0]->desyncEvents(),
+    EXPECT_GE(sys.rootStats().scalarValue("obfusMem0.macFailures")
+                  + sys.rootStats().scalarValue("obfusMem0.headerDesyncs"),
               1u);
     TraceAuditor *auditor = sys.auditor();
     EXPECT_FALSE(auditor->finalize());

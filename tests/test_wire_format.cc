@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -129,6 +131,189 @@ TEST(WireFormat, CounterDiscipline)
     // Six pads per request group, five per reply (paper Fig. 3).
     EXPECT_EQ(countersPerRequestGroup, 6u);
     EXPECT_EQ(countersPerReply, 5u);
+}
+
+TEST(WireFormat, DeliverFrameAppliesTheBusFault)
+{
+    WireMessage sent;
+    sent.cipherHeader[5] = 0x3c;
+    std::vector<WireMessage> got;
+    auto receive = [&got](WireMessage &&m) { got.push_back(m); };
+
+    deliverFrame(WireMessage(sent), BusFault{}, receive);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].cipherHeader, sent.cipherHeader);
+
+    // Corrupted and duplicated: two copies, each with bit 42 flipped.
+    got.clear();
+    deliverFrame(WireMessage(sent), BusFault{true, true, 42}, receive);
+    ASSERT_EQ(got.size(), 2u);
+    crypto::Block128 flipped = sent.cipherHeader;
+    flipped[42 / 8] ^= 1u << (42 % 8);
+    EXPECT_EQ(got[0].cipherHeader, flipped);
+    EXPECT_EQ(got[1].cipherHeader, flipped);
+}
+
+namespace {
+
+std::vector<uint8_t>
+handshakeValue(size_t n, uint8_t seed)
+{
+    std::vector<uint8_t> v(n);
+    for (size_t i = 0; i < n; ++i)
+        v[i] = static_cast<uint8_t>(seed + i * 7);
+    return v;
+}
+
+/** Unpack one handshake payload and add it to an assembly. */
+std::optional<std::vector<uint8_t>>
+addPayload(HandshakeAssembly &a, const DataBlock &payload)
+{
+    std::optional<HandshakeChunk> c = unpackHandshakeChunk(payload);
+    EXPECT_TRUE(c.has_value());
+    return c ? a.add(*c) : std::nullopt;
+}
+
+} // namespace
+
+TEST(Handshake, RoundTripsAtChunkBoundaries)
+{
+    for (size_t n : {1u, 54u, 55u, 256u, 8u * 54u}) {
+        SCOPED_TRACE(n);
+        const std::vector<uint8_t> value = handshakeValue(n, 3);
+        const std::vector<DataBlock> payloads = packHandshake(7, value);
+        EXPECT_EQ(payloads.size(), (n + 53) / 54);
+        HandshakeAssembly a;
+        for (size_t i = 0; i < payloads.size(); ++i) {
+            std::optional<std::vector<uint8_t>> got =
+                addPayload(a, payloads[i]);
+            ASSERT_EQ(got.has_value(), i + 1 == payloads.size()) << i;
+            if (got) {
+                EXPECT_EQ(*got, value);
+            }
+        }
+    }
+}
+
+TEST(Handshake, ChunksAssembleInAnyOrder)
+{
+    const std::vector<uint8_t> value = handshakeValue(256, 9);
+    const std::vector<DataBlock> payloads = packHandshake(2, value);
+    ASSERT_EQ(payloads.size(), 5u);
+    HandshakeAssembly a;
+    for (size_t i : {4u, 1u, 3u, 0u})
+        EXPECT_FALSE(addPayload(a, payloads[i]).has_value()) << i;
+    // A repeated chunk changes nothing.
+    EXPECT_FALSE(addPayload(a, payloads[1]).has_value());
+    std::optional<std::vector<uint8_t>> got = addPayload(a, payloads[2]);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, value);
+}
+
+TEST(Handshake, NewEpochRestartsTheCollection)
+{
+    const std::vector<uint8_t> old_value = handshakeValue(120, 1);
+    const std::vector<uint8_t> new_value = handshakeValue(120, 2);
+    const std::vector<DataBlock> old_chunks = packHandshake(1, old_value);
+    const std::vector<DataBlock> new_chunks = packHandshake(2, new_value);
+    ASSERT_EQ(old_chunks.size(), 3u);
+    HandshakeAssembly a;
+    EXPECT_FALSE(addPayload(a, old_chunks[0]).has_value());
+    EXPECT_FALSE(addPayload(a, old_chunks[1]).has_value());
+    // Had the epoch-1 chunks survived, this would complete a mix.
+    EXPECT_FALSE(addPayload(a, new_chunks[2]).has_value());
+    EXPECT_FALSE(addPayload(a, new_chunks[0]).has_value());
+    std::optional<std::vector<uint8_t>> got =
+        addPayload(a, new_chunks[1]);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, new_value);
+}
+
+TEST(Handshake, MoreThanEightChunksRejected)
+{
+    HandshakeAssembly a;
+    HandshakeChunk c;
+    c.epoch = 1;
+    c.total = maxHandshakeChunks + 1;
+    c.len = 1;
+    for (unsigned i = 0; i < c.total; ++i) {
+        c.chunk = static_cast<uint8_t>(i);
+        EXPECT_FALSE(a.add(c).has_value()) << i;
+    }
+    EXPECT_DEATH(packHandshake(1, std::vector<uint8_t>(8 * 54 + 1)),
+                 "chunks");
+}
+
+TEST(Handshake, RandomAndFlippedBlocksNeverYieldAPartialValue)
+{
+    // Random blocks, valid chunks and bit-flipped chunks, fed through
+    // the wire decoder into one assembly. The chunks come from a value
+    // that changes now and then, picked in random order. The reference
+    // below holds the chunks of the epoch and count being collected;
+    // the assembly must yield exactly when they cover every index, and
+    // then their bytes in order.
+    Random rng(24);
+    HandshakeAssembly a;
+    std::vector<DataBlock> chunks;
+    uint32_t ref_epoch = 0;
+    uint8_t ref_total = 0;
+    std::map<uint8_t, HandshakeChunk> ref;
+    unsigned yielded = 0, multi_chunk = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        DataBlock block;
+        switch (rng.randUnder(3)) {
+          case 0:
+            rng.fillBytes(block.data(), block.size());
+            if (rng.randUnder(2)) {
+                block[0] = 0xd4; // chunk magic: reach the field checks
+                block[1] = 0x48;
+            }
+            break;
+          default: {
+            if (chunks.empty() || rng.randUnder(8) == 0) {
+                const uint32_t epoch =
+                    static_cast<uint32_t>(rng.randUnder(3)) + 1;
+                std::vector<uint8_t> value(rng.randUnder(8 * 54 + 1));
+                rng.fillBytes(value.data(), value.size());
+                chunks = packHandshake(epoch, value);
+            }
+            block = chunks[rng.randUnder(chunks.size())];
+            for (uint64_t f = rng.randUnder(3); f > 0; --f) {
+                const uint64_t bit = rng.randUnder(block.size() * 8);
+                block[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            }
+            break;
+          }
+        }
+        std::optional<HandshakeChunk> c = unpackHandshakeChunk(block);
+        if (!c)
+            continue;
+        std::optional<std::vector<uint8_t>> got = a.add(*c);
+        if (c->total > maxHandshakeChunks
+            || c->len > handshakeChunkBytes) {
+            EXPECT_FALSE(got.has_value());
+            continue;
+        }
+        if (c->epoch != ref_epoch || c->total != ref_total) {
+            ref_epoch = c->epoch;
+            ref_total = c->total;
+            ref.clear();
+        }
+        ref[c->chunk] = *c;
+        ASSERT_EQ(got.has_value(), ref.size() == ref_total) << iter;
+        if (!got)
+            continue;
+        ++yielded;
+        multi_chunk += ref_total > 1;
+        std::vector<uint8_t> want;
+        for (const auto &[index, chunk] : ref)
+            want.insert(want.end(), chunk.data.begin(),
+                        chunk.data.begin() + chunk.len);
+        EXPECT_EQ(*got, want) << iter;
+        EXPECT_LE(got->size(), maxHandshakeChunks * handshakeChunkBytes);
+    }
+    EXPECT_GT(yielded, 0u);
+    EXPECT_GT(multi_chunk, 0u);
 }
 
 TEST(MacEngine, ComputeVerifyRoundTrip)
