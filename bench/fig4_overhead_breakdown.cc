@@ -14,24 +14,9 @@
 #include <string>
 
 #include "bench_common.hh"
-#include "crypto/aes128.hh"
-#include "secure/pad_prefetcher.hh"
 
 using namespace obfusmem;
 using namespace obfusmem::bench;
-
-namespace {
-
-/** "aes=<impl>,prefetch=<depth>": host crypto config. */
-std::string
-hostCryptoConfig()
-{
-    return std::string("aes=") +
-           crypto::aesImplName(crypto::Aes128::defaultImpl()) +
-           ",prefetch=" + std::to_string(defaultPadPrefetchDepth());
-}
-
-} // namespace
 
 int
 main()
@@ -89,18 +74,5 @@ main()
                 sum_obfus / n, sum_auth / n);
     std::printf("%-12s %12.1f %12.1f %14.1f   (paper)\n", "", 2.2,
                 8.3, 10.9);
-
-    // Summary row tagged with the host crypto config so A/B runs
-    // (OBFUSMEM_AES_IMPL / OBFUSMEM_PAD_PREFETCH) can be compared by
-    // total host wall time in BENCH_PR4.json. Simulated ticks are
-    // identical across configs by construction.
-    double totalWallMs = 0;
-    for (const RunOutcome &out : outcomes)
-        totalWallMs += out.wallMs;
-    std::printf("\nhost crypto config: %s, total wall time: %.1f ms\n",
-                hostCryptoConfig().c_str(), totalWallMs);
-    jsonRow("fig4_overhead_breakdown", hostCryptoConfig(),
-            "total_wall", outcomes.back().result.execTicks,
-            sum_auth / n, totalWallMs);
     return 0;
 }

@@ -1,18 +1,16 @@
 /**
  * @file
- * AES-128: byte-oriented FIPS-197 reference path plus the T-table
- * fast path, and the dispatch that can route to the AES-NI hardware
- * path (compiled separately in aes128_aesni.cc). Every table (S-box,
- * inverse S-box, the four fused encryption tables) is generated at
- * compile time, so there is no lazily initialized mutable state
- * anywhere in this translation unit and instances are safe to use
- * from concurrent sweep-runner jobs.
+ * AES-128: the byte-oriented FIPS-197 reference path and the dispatch
+ * that routes to the hardware lanes (compiled separately in
+ * aes128_aesni.cc and aes128_vaes.cc). Both S-box tables are
+ * generated at compile time, so there is no lazily initialized
+ * mutable state anywhere in this translation unit and instances are
+ * safe to use from concurrent sweep-runner jobs.
  */
 
 #include "crypto/aes128.hh"
 
 #include "crypto/cpu_features.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace obfusmem {
@@ -71,39 +69,6 @@ xtime(uint8_t x)
 {
     return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
 }
-
-constexpr uint32_t
-rotl32(uint32_t v, int n)
-{
-    return (v << n) | (v >> (32 - n));
-}
-
-/**
- * The four fused encryption tables. State columns are little-endian
- * 32-bit words (byte 0 = row 0), so enc[r][x] is the MixColumns
- * contribution of S-box output sbox[x] landing on row r after
- * ShiftRows: enc[0][x] packs {2s, s, s, 3s} and each subsequent table
- * is the previous one rotated up a byte.
- */
-constexpr std::array<std::array<uint32_t, 256>, 4>
-makeEncTables()
-{
-    std::array<std::array<uint32_t, 256>, 4> enc{};
-    for (int i = 0; i < 256; ++i) {
-        uint32_t s = sbox[i];
-        uint32_t s2 = xtime(sbox[i]);
-        uint32_t s3 = s2 ^ s;
-        uint32_t w = s2 | (s << 8) | (s << 16) | (s3 << 24);
-        for (int r = 0; r < 4; ++r) {
-            enc[r][i] = w;
-            w = rotl32(w, 8);
-        }
-    }
-    return enc;
-}
-
-constexpr std::array<std::array<uint32_t, 256>, 4> encTables =
-    makeEncTables();
 
 /** GF(2^8) multiplication. */
 uint8_t
@@ -205,7 +170,6 @@ const char *
 aesImplName(AesImpl impl)
 {
     switch (impl) {
-      case AesImpl::Ttable: return "ttable";
       case AesImpl::Reference: return "reference";
       case AesImpl::Aesni: return "aesni";
       case AesImpl::Vaes: return "vaes";
@@ -239,15 +203,15 @@ Aes128::setImpl(AesImpl impl)
              detail::vaesCompiledIn() ? "this CPU does not support it"
                                       : "this build does not include it",
              "; stepping down to ",
-             aesniAvailable() ? "AES-NI" : "the T-table path");
-        impl = aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
+             aesniAvailable() ? "AES-NI" : "the reference path");
+        impl = aesniAvailable() ? AesImpl::Aesni : AesImpl::Reference;
     }
     if (impl == AesImpl::Aesni && !aesniAvailable()) {
         warn("AES-NI requested but ",
              detail::aesniCompiledIn() ? "this CPU does not support it"
                                        : "this build does not include it",
-             "; using the T-table path");
-        impl = AesImpl::Ttable;
+             "; using the reference path");
+        impl = AesImpl::Reference;
     }
     implChoice = impl;
 }
@@ -255,43 +219,9 @@ Aes128::setImpl(AesImpl impl)
 AesImpl
 Aes128::defaultImpl()
 {
-    static const AesImpl choice = [] {
-        auto widest = [] {
-            if (vaesAvailable())
-                return AesImpl::Vaes;
-            return aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
-        };
-        size_t unset = 4;
-        size_t pick = env::choice(
-            "OBFUSMEM_AES_IMPL",
-            {"vaes", "aesni", "ttable", "reference"}, unset);
-        switch (pick) {
-          case 0:
-            if (vaesAvailable())
-                return AesImpl::Vaes;
-            warn("OBFUSMEM_AES_IMPL=vaes but VAES is unavailable ",
-                 detail::vaesCompiledIn()
-                     ? "(CPU lacks the instructions)"
-                     : "(disabled in this build)",
-                 "; using ", aesniAvailable() ? "aesni" : "ttable");
-            return aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
-          case 1:
-            if (aesniAvailable())
-                return AesImpl::Aesni;
-            warn("OBFUSMEM_AES_IMPL=aesni but AES-NI is unavailable ",
-                 detail::aesniCompiledIn()
-                     ? "(CPU lacks the instructions)"
-                     : "(disabled in this build)",
-                 "; using ttable");
-            return AesImpl::Ttable;
-          case 2:
-            return AesImpl::Ttable;
-          case 3:
-            return AesImpl::Reference;
-          default:
-            return widest();
-        }
-    }();
+    static const AesImpl choice = vaesAvailable()    ? AesImpl::Vaes
+                                  : aesniAvailable() ? AesImpl::Aesni
+                                                     : AesImpl::Reference;
     return choice;
 }
 
@@ -322,8 +252,6 @@ Aes128::setKey(OBF_SECRET const Key &key)
     for (int r = 0; r < 11; ++r) {
         for (int b = 0; b < 16; ++b)
             roundKeys[r][b] = w[16 * r + b];
-        for (int c = 0; c < 4; ++c)
-            roundKeyWords[r][c] = loadLe32(&roundKeys[r][4 * c]);
     }
     keyed = true;
 }
@@ -348,56 +276,6 @@ Aes128::encryptReference(const Block128 &plaintext) const
 }
 
 Block128
-Aes128::encryptTtable(const Block128 &plaintext) const
-{
-    const auto &T0 = encTables[0];
-    const auto &T1 = encTables[1];
-    const auto &T2 = encTables[2];
-    const auto &T3 = encTables[3];
-
-    uint32_t w0 = loadLe32(plaintext.data()) ^ roundKeyWords[0][0];
-    uint32_t w1 = loadLe32(plaintext.data() + 4) ^ roundKeyWords[0][1];
-    uint32_t w2 = loadLe32(plaintext.data() + 8) ^ roundKeyWords[0][2];
-    uint32_t w3 = loadLe32(plaintext.data() + 12) ^ roundKeyWords[0][3];
-
-    for (int round = 1; round < 10; ++round) {
-        const auto &rk = roundKeyWords[round];
-        uint32_t n0 = T0[w0 & 0xff] ^ T1[(w1 >> 8) & 0xff]
-                      ^ T2[(w2 >> 16) & 0xff] ^ T3[w3 >> 24] ^ rk[0];
-        uint32_t n1 = T0[w1 & 0xff] ^ T1[(w2 >> 8) & 0xff]
-                      ^ T2[(w3 >> 16) & 0xff] ^ T3[w0 >> 24] ^ rk[1];
-        uint32_t n2 = T0[w2 & 0xff] ^ T1[(w3 >> 8) & 0xff]
-                      ^ T2[(w0 >> 16) & 0xff] ^ T3[w1 >> 24] ^ rk[2];
-        uint32_t n3 = T0[w3 & 0xff] ^ T1[(w0 >> 8) & 0xff]
-                      ^ T2[(w1 >> 16) & 0xff] ^ T3[w2 >> 24] ^ rk[3];
-        w0 = n0;
-        w1 = n1;
-        w2 = n2;
-        w3 = n3;
-    }
-
-    // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-    const auto &rk = roundKeyWords[10];
-    auto last = [](uint32_t a, uint32_t b, uint32_t c, uint32_t d) {
-        return static_cast<uint32_t>(sbox[a & 0xff])
-               | (static_cast<uint32_t>(sbox[(b >> 8) & 0xff]) << 8)
-               | (static_cast<uint32_t>(sbox[(c >> 16) & 0xff]) << 16)
-               | (static_cast<uint32_t>(sbox[d >> 24]) << 24);
-    };
-    uint32_t f0 = last(w0, w1, w2, w3) ^ rk[0];
-    uint32_t f1 = last(w1, w2, w3, w0) ^ rk[1];
-    uint32_t f2 = last(w2, w3, w0, w1) ^ rk[2];
-    uint32_t f3 = last(w3, w0, w1, w2) ^ rk[3];
-
-    Block128 out;
-    storeLe32(out.data(), f0);
-    storeLe32(out.data() + 4, f1);
-    storeLe32(out.data() + 8, f2);
-    storeLe32(out.data() + 12, f3);
-    return out;
-}
-
-Block128
 Aes128::encryptBlock(const Block128 &plaintext) const
 {
     panic_if(!keyed, "Aes128 used before setKey");
@@ -407,8 +285,6 @@ Aes128::encryptBlock(const Block128 &plaintext) const
         // The wide lanes only differ on batches; a lone block is an
         // AES-NI round trip for both.
         return detail::aesniEncryptBlock(roundKeys, plaintext);
-      case AesImpl::Ttable:
-        return encryptTtable(plaintext);
       case AesImpl::Reference:
         break;
     }
@@ -425,10 +301,6 @@ Aes128::encryptBlocks(const Block128 *in, Block128 *out, size_t n) const
         return;
       case AesImpl::Aesni:
         detail::aesniEncryptBlocks(roundKeys, in, out, n);
-        return;
-      case AesImpl::Ttable:
-        for (size_t i = 0; i < n; ++i)
-            out[i] = encryptTtable(in[i]);
         return;
       case AesImpl::Reference:
         break;

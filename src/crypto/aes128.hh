@@ -8,21 +8,18 @@
  * 128-bit pad per cycle throughput, 15.1 mW, 0.204 mm^2) are captured as
  * constants here and consumed by the timing model.
  *
- * Four encryption implementations are provided:
+ * Three encryption implementations are provided, and CPUID alone
+ * picks among them (widest first):
  *  - Vaes: 512-bit VAES batches (four blocks per zmm register, four
- *    registers in flight) for the widest pad-generation lanes. The
- *    default when the build carries the instructions and the running
- *    CPU advertises VAES + AVX-512 F/BW/VL.
+ *    registers in flight) for the widest pad-generation lanes. Used
+ *    when the build carries the instructions and the running CPU
+ *    advertises VAES + AVX-512 F/BW/VL.
  *  - Aesni: hardware AES via the x86 AES-NI instructions, with 4/8-wide
- *    pipelined batches in encryptBlocks. The default on AES-NI CPUs
- *    without usable VAES.
- *  - Ttable: the portable hot path. The 32-bit T-table formulation
- *    fuses SubBytes, ShiftRows and MixColumns into four table lookups
- *    and three XORs per column per round. The tables are generated at
- *    compile time from the S-box, so no runtime initialization (and no
- *    initialization races) exist.
- *  - Reference: the byte-oriented FIPS-197 transcription, kept as the
- *    cross-checked oracle. Tests pin every other path to it.
+ *    pipelined batches in encryptBlocks. Used on AES-NI CPUs without
+ *    usable VAES.
+ *  - Reference: the byte-oriented FIPS-197 transcription. It is the
+ *    cross-checked oracle (tests pin every other path to it) and the
+ *    path on hosts without AES-NI.
  *
  * The simulated *hardware* is unchanged either way: implementation
  * choice only affects host throughput, never simulated timing.
@@ -59,9 +56,7 @@ struct AesEngineParams
 /** Host-side encryption implementation (identical ciphertexts). */
 enum class AesImpl
 {
-    /** Fused 32-bit T-table path (the portable fast path). */
-    Ttable,
-    /** Byte-oriented FIPS-197 path (the cross-check oracle). */
+    /** Byte-oriented FIPS-197 path (the oracle and the fallback). */
     Reference,
     /** x86 AES-NI hardware path (8-wide batches). */
     Aesni,
@@ -69,7 +64,7 @@ enum class AesImpl
     Vaes,
 };
 
-/** Human-readable name for an implementation (matches the env values). */
+/** Human-readable name for an implementation (bench metadata). */
 const char *aesImplName(AesImpl impl);
 
 /**
@@ -104,21 +99,18 @@ class Aes128
     Block128 decryptBlock(const Block128 &ciphertext) const;
 
     /**
-     * Select the encryption implementation for this instance.
-     * Requesting a hardware lane the build or CPU cannot honour warns
-     * and steps down the ladder (Vaes -> Aesni -> Ttable) instead of
-     * faulting on the first wide instruction.
+     * Select the encryption implementation for this instance (tests
+     * and benches). Requesting a hardware lane the build or CPU cannot
+     * honour warns and steps down the ladder (Vaes -> Aesni ->
+     * Reference) instead of faulting on the first wide instruction.
      */
     void setImpl(AesImpl impl);
     AesImpl impl() const { return implChoice; }
 
     /**
-     * Process-wide default implementation, read once from the
-     * OBFUSMEM_AES_IMPL environment variable ("vaes", "aesni",
-     * "ttable" or "reference"; stable across threads).
-     * Unset: the widest lane the build and the running CPU support —
-     * Vaes, then Aesni, then Ttable. An explicit hardware choice that
-     * cannot be honoured warns and falls back down the same ladder.
+     * Process-wide default implementation: the widest lane the build
+     * and the running CPU support - Vaes, then Aesni, then Reference.
+     * Probed once and latched, so it is stable across threads.
      */
     static AesImpl defaultImpl();
 
@@ -133,13 +125,10 @@ class Aes128
     static bool vaesAvailable();
 
   private:
-    Block128 encryptTtable(const Block128 &plaintext) const;
     Block128 encryptReference(const Block128 &plaintext) const;
 
     /** Expanded round keys (byte layout, shared by all impls). */
     OBF_SECRET RoundKeys roundKeys{};
-    /** The same schedule as little-endian column words (T-table path). */
-    OBF_SECRET std::array<std::array<uint32_t, 4>, 11> roundKeyWords{};
     AesImpl implChoice = defaultImpl();
     bool keyed = false;
 };
@@ -163,7 +152,7 @@ void aesniEncryptBlocks(OBF_SECRET const Aes128::RoundKeys &schedule,
  * VAES/AVX-512 entry points, defined in aes128_vaes.cc — the only
  * translation unit built with -mvaes/-mavx512*. Same contract as the
  * aesni* set: panicking stubs when the build gates the lanes off
- * (-DOBFUSMEM_DISABLE_VAES=ON or a compiler without the flags), with
+ * (no AES-NI TU, or a compiler without the flags), with
  * vaesCompiledIn() reporting false so the dispatch stays honest.
  */
 bool vaesCompiledIn();

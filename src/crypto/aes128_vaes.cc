@@ -116,9 +116,9 @@ vaesEncryptBlocks(const Aes128::RoundKeys &schedule,
 
 #else // !OBFUSMEM_HAVE_VAES
 
-// Stub build (-DOBFUSMEM_DISABLE_VAES=ON or a compiler without the
-// flags): the dispatch never selects Vaes because vaesCompiledIn() is
-// false, but the symbols must exist for the link.
+// Stub build (no AES-NI TU, or a compiler without the flags): the
+// dispatch never selects Vaes because vaesCompiledIn() is false, but
+// the symbols must exist for the link.
 
 bool
 vaesCompiledIn()

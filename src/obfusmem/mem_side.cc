@@ -176,13 +176,13 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
     WireHeader hdr_val = *hdr;
     bool has_data = msg.hasData;
     scheduleAfter(lat, [this, hdr_val, has_data, plain_data]() {
-        handleRequest(hdr_val, has_data, plain_data, 0);
+        handleRequest(hdr_val, has_data, plain_data);
     });
 }
 
 void
 ObfusMemMemSide::handleRequest(const WireHeader &hdr, bool has_data,
-                               const DataBlock &plain_data, uint64_t)
+                               const DataBlock &plain_data)
 {
     const bool is_dummy = hdr.dummy || hdr.addr == dummyBlockAddr;
 

@@ -84,8 +84,7 @@ class ObfusMemMemSide : public SimObject
 
   private:
     void handleRequest(OBF_SECRET const WireHeader &hdr, bool has_data,
-                       OBF_SECRET const DataBlock &plain_data,
-                       uint64_t hdr_ctr);
+                       OBF_SECRET const DataBlock &plain_data);
     void sendReadReply(const WireHeader &req_hdr,
                        const DataBlock &data);
 

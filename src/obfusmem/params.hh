@@ -61,9 +61,9 @@ struct ObfusMemParams
      * stream (0 disables). Pads are pure functions of (key, counter),
      * so the depth cannot change anything on the wire - it only moves
      * host-side AES work off the protocol path into batched refills.
-     * Default from OBFUSMEM_PAD_PREFETCH.
+     * Runs keep the default; test_obfusmem diffs wire traces at 0.
      */
-    unsigned padPrefetchDepth = defaultPadPrefetchDepth();
+    unsigned padPrefetchDepth = defaultPadPrefetchDepth;
 
     /** Session Key Table lookup (one core cycle). */
     Tick keyTableLatency = 500;

@@ -75,10 +75,9 @@ struct EncryptionParams
      * IV-keyed pad memo entries (0 disables). Pads are pure functions
      * of the block's IV, so the memo reuses AES work across repeated
      * reads of a block between counter bumps without any visible
-     * effect on ciphertexts. Follows the pad-prefetch knob so
-     * OBFUSMEM_PAD_PREFETCH=0 yields a fully on-demand build.
+     * effect on ciphertexts.
      */
-    unsigned padMemoEntries = defaultPadPrefetchDepth() ? 256u : 0u;
+    unsigned padMemoEntries = 256;
 };
 
 /**

@@ -8,9 +8,9 @@
  * them exist. The hardware engine exploits this with its 24-stage
  * pipeline; this host-side analogue keeps a ring of pre-generated
  * pad groups per counter stream, refilled in large batches from
- * zero-delay "idle tick" events so the batched AES path (AES-NI
- * 8-wide, or the T-table loop) is fed full pipelines instead of
- * 5-6 block dribbles in the middle of the protocol.
+ * zero-delay "idle tick" events so the batched AES path (the AES-NI
+ * or VAES lanes) is fed full pipelines instead of 5-6 block dribbles
+ * in the middle of the protocol.
  *
  * Correctness is by construction: a prefetched pad is byte-identical
  * to one generated on demand, so wire traffic cannot change with the
@@ -28,32 +28,16 @@
 #include <vector>
 
 #include "crypto/ctr_mode.hh"
-#include "util/env.hh"
 #include "util/secret.hh"
 #include "util/stats.hh"
 
 namespace obfusmem {
 
 /**
- * Largest OBFUSMEM_PAD_PREFETCH depth in pad groups. Every counter
- * stream of every controller holds a ring this deep, so the bound
- * keeps a typo from reserving gigabytes per ring.
+ * Prefetch depth in pad groups per counter stream. The wire is
+ * identical at any depth; tests set 0 (fully on demand) to show it.
  */
-constexpr unsigned maxPadPrefetchDepth = 1024;
-
-/**
- * Process-wide default prefetch depth in pad groups, read once from
- * OBFUSMEM_PAD_PREFETCH (0 disables prefetching; the traffic on the
- * wire is identical either way; above maxPadPrefetchDepth warns and
- * keeps the default).
- */
-inline unsigned
-defaultPadPrefetchDepth()
-{
-    static const unsigned depth = static_cast<unsigned>(
-        env::u64("OBFUSMEM_PAD_PREFETCH", 8, maxPadPrefetchDepth));
-    return depth;
-}
+constexpr unsigned defaultPadPrefetchDepth = 8;
 
 /**
  * Counters for one controller's prefetchers (tx and rx streams share

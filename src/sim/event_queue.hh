@@ -9,10 +9,10 @@
  * maintained by a timing wheel — a 2^16-slot bucket array covering the
  * near future in O(1) per event — backed by a binary min-heap overflow
  * tier for events beyond the wheel horizon. A runtime knob
- * (`OBFUSMEM_EVQ_IMPL=heap|wheel`, mirroring `OBFUSMEM_AES_IMPL`)
- * routes everything through the heap tier instead, as an A/B
- * cross-check; both implementations execute events in the exact same
- * (when, seq) order, so all simulation results are bit-identical.
+ * (`OBFUSMEM_EVQ_IMPL=heap|wheel`) routes everything through the heap
+ * tier instead, as an A/B cross-check; both implementations execute
+ * events in the exact same (when, seq) order, so all simulation
+ * results are bit-identical.
  */
 
 #ifndef OBFUSMEM_SIM_EVENT_QUEUE_HH

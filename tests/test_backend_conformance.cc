@@ -6,7 +6,8 @@
  * its structural invariants, (c) checkpoint/restore through the
  * serialize vtable half, and (d) produce bit-identical wire traces
  * whether the bench runner uses 1 or 4 worker threads and whichever
- * event-queue backend is configured.
+ * event-queue backend is configured. The ORAM backends' checkpoints
+ * are also fuzzed with truncations and bit flips.
  */
 
 #include <gtest/gtest.h>
@@ -135,6 +136,21 @@ class BackendConformance
     : public ::testing::TestWithParam<ProtectionMode>
 {
 };
+
+class CheckpointFuzz : public ::testing::TestWithParam<ProtectionMode>
+{
+};
+
+std::string
+modeTestName(const ::testing::TestParamInfo<ProtectionMode> &info)
+{
+    std::string name = protectionModeName(info.param);
+    for (char &c : name) {
+        if (c == '-' || c == '+')
+            c = '_';
+    }
+    return name;
+}
 
 } // namespace
 
@@ -270,11 +286,68 @@ INSTANTIATE_TEST_SUITE_P(
                       ProtectionMode::OramDetailed,
                       ProtectionMode::FlatOram,
                       ProtectionMode::WriteOnlyOram),
-    [](const ::testing::TestParamInfo<ProtectionMode> &info) {
-        std::string name = protectionModeName(info.param);
-        for (char &c : name) {
-            if (c == '-' || c == '+')
-                c = '_';
-        }
-        return name;
-    });
+    modeTestName);
+
+TEST_P(CheckpointFuzz, CorruptedCheckpointsFailCleanly)
+{
+    // A populated checkpoint, then seeded corruptions of it. Restore
+    // may accept or reject a flipped bit, but must never crash or
+    // assert (the ASan/UBSan job runs this too); a truncated stream
+    // and a flip in the format tags must always be rejected.
+    SystemConfig cfg = smallConfig(GetParam());
+    System a(cfg);
+    Random rng(17);
+    for (int op = 0; op < 200; ++op) {
+        DataBlock d;
+        rng.fillBytes(d.data(), d.size());
+        writeTimed(a, rng.randUnder(kWindowBlocks) * blockBytes, d);
+    }
+    std::ostringstream os;
+    a.serializeBackend(os);
+    const std::string snap = os.str();
+
+    System b(cfg);
+    auto restore = [&b](const std::string &bytes) {
+        std::istringstream is(bytes);
+        return b.restoreBackend(is);
+    };
+    ASSERT_TRUE(restore(snap));
+
+    // Every prefix through the first records, then seeded lengths
+    // over the whole stream, down to one byte short.
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len < 256; ++len)
+        lengths.push_back(len);
+    for (int i = 0; i < 256; ++i)
+        lengths.push_back(rng.randUnder(snap.size()));
+    lengths.push_back(snap.size() - 1);
+    for (size_t len : lengths) {
+        EXPECT_FALSE(restore(snap.substr(0, len)))
+            << "truncated to " << len << " of " << snap.size();
+    }
+
+    auto flip = [&snap](uint64_t bit) {
+        std::string bytes = snap;
+        bytes[bit / 8] =
+            static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+        return bytes;
+    };
+    // The backend tag, the mode and the ORAM's own tag and geometry
+    // open every stream (32 bytes at least); each is checked exactly.
+    for (uint64_t bit = 0; bit < 32 * 8; ++bit)
+        EXPECT_FALSE(restore(flip(bit))) << "bit " << bit;
+    for (int i = 0; i < 512; ++i)
+        restore(flip(rng.randUnder(snap.size() * 8)));
+
+    // The intact checkpoint still restores over whatever the corrupt
+    // ones left behind.
+    ASSERT_TRUE(restore(snap));
+    checkStructuralInvariants(b);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OramCheckpoints, CheckpointFuzz,
+    ::testing::Values(ProtectionMode::OramDetailed,
+                      ProtectionMode::FlatOram,
+                      ProtectionMode::WriteOnlyOram),
+    modeTestName);

@@ -95,42 +95,6 @@ TEST(Aes128, RekeyingWorks)
     EXPECT_EQ(aes.encryptBlock(pt), first);
 }
 
-TEST(Aes128, Fips197BothImplementations)
-{
-    // The known-answer vectors must hold for the T-table fast path
-    // AND the byte-oriented reference, independent of the default.
-    for (AesImpl impl : {AesImpl::Ttable, AesImpl::Reference}) {
-        Aes128 aes(block("2b7e151628aed2a6abf7158809cf4f3c"));
-        aes.setImpl(impl);
-        EXPECT_EQ(toHex(aes.encryptBlock(
-                      block("3243f6a8885a308d313198a2e0370734"))),
-                  "3925841d02dc09fbdc118597196a0b32");
-        aes.setKey(block("000102030405060708090a0b0c0d0e0f"));
-        EXPECT_EQ(toHex(aes.encryptBlock(
-                      block("00112233445566778899aabbccddeeff"))),
-                  "69c4e0d86a7b0430d8cdb78070b4c55a");
-    }
-}
-
-TEST(Aes128, TtableMatchesReferenceRandomized)
-{
-    // Pin the fused-table fast path to the structural reference over
-    // many random keys and plaintexts.
-    Random rng(0xc0ffee);
-    for (int k = 0; k < 20; ++k) {
-        Aes128::Key key;
-        rng.fillBytes(key.data(), key.size());
-        Aes128 fast(key), ref(key);
-        fast.setImpl(AesImpl::Ttable);
-        ref.setImpl(AesImpl::Reference);
-        for (int i = 0; i < 50; ++i) {
-            Block128 pt;
-            rng.fillBytes(pt.data(), pt.size());
-            EXPECT_EQ(fast.encryptBlock(pt), ref.encryptBlock(pt));
-        }
-    }
-}
-
 TEST(Aes128, EncryptBlocksMatchesBlockwise)
 {
     Random rng(7);
@@ -149,115 +113,6 @@ TEST(Aes128, EncryptBlocksMatchesBlockwise)
     std::array<Block128, 11> aliased = in;
     aes.encryptBlocks(aliased.data(), aliased.data(), aliased.size());
     EXPECT_EQ(aliased, out);
-}
-
-TEST(Aes128, Fips197AesniKnownAnswers)
-{
-    if (!Aes128::aesniAvailable())
-        GTEST_SKIP() << "AES-NI unavailable on this host/build";
-    Aes128 aes(block("2b7e151628aed2a6abf7158809cf4f3c"));
-    aes.setImpl(AesImpl::Aesni);
-    EXPECT_EQ(toHex(aes.encryptBlock(
-                  block("3243f6a8885a308d313198a2e0370734"))),
-              "3925841d02dc09fbdc118597196a0b32");
-    aes.setKey(block("000102030405060708090a0b0c0d0e0f"));
-    EXPECT_EQ(toHex(aes.encryptBlock(
-                  block("00112233445566778899aabbccddeeff"))),
-              "69c4e0d86a7b0430d8cdb78070b4c55a");
-}
-
-TEST(Aes128, ThreeWayImplCrossCheckRandomized)
-{
-    // All implementations must agree block-for-block over random keys
-    // and plaintexts: aesni and ttable are both pinned to the
-    // byte-oriented structural reference.
-    if (!Aes128::aesniAvailable())
-        GTEST_SKIP() << "AES-NI unavailable on this host/build";
-    Random rng(0xae51);
-    for (int k = 0; k < 20; ++k) {
-        Aes128::Key key;
-        rng.fillBytes(key.data(), key.size());
-        Aes128 hw(key), fast(key), ref(key);
-        hw.setImpl(AesImpl::Aesni);
-        fast.setImpl(AesImpl::Ttable);
-        ref.setImpl(AesImpl::Reference);
-        for (int i = 0; i < 50; ++i) {
-            Block128 pt;
-            rng.fillBytes(pt.data(), pt.size());
-            Block128 want = ref.encryptBlock(pt);
-            EXPECT_EQ(hw.encryptBlock(pt), want);
-            EXPECT_EQ(fast.encryptBlock(pt), want);
-        }
-    }
-}
-
-TEST(Aes128, AesniEncryptBlocksAllTailShapes)
-{
-    // The AES-NI batch path takes 8-wide, 4-wide and single-block
-    // legs; every size up to 20 exercises each combination, both
-    // out-of-place and aliased in place.
-    if (!Aes128::aesniAvailable())
-        GTEST_SKIP() << "AES-NI unavailable on this host/build";
-    Random rng(0xb10c);
-    Aes128::Key key;
-    rng.fillBytes(key.data(), key.size());
-    Aes128 hw(key), ref(key);
-    hw.setImpl(AesImpl::Aesni);
-    ref.setImpl(AesImpl::Reference);
-
-    for (size_t n = 1; n <= 20; ++n) {
-        std::vector<Block128> in(n), out(n);
-        for (auto &b : in)
-            rng.fillBytes(b.data(), b.size());
-        hw.encryptBlocks(in.data(), out.data(), n);
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(out[i], ref.encryptBlock(in[i])) << "n=" << n
-                                                       << " i=" << i;
-
-        std::vector<Block128> aliased = in;
-        hw.encryptBlocks(aliased.data(), aliased.data(), n);
-        EXPECT_EQ(aliased, out) << "n=" << n;
-    }
-}
-
-TEST(Aes128, AesniGenPadsMatchesTtable)
-{
-    // The counter-mode pads the prefetch pipeline serves must be
-    // independent of the AES implementation behind them.
-    if (!Aes128::aesniAvailable())
-        GTEST_SKIP() << "AES-NI unavailable on this host/build";
-    AesCtr ctr(block("2b7e151628aed2a6abf7158809cf4f3c"), 0xabcd);
-    Aes128 ref(block("2b7e151628aed2a6abf7158809cf4f3c"));
-    ref.setImpl(AesImpl::Reference);
-    for (uint64_t base : {0ull, 6ull, 48ull, 999999ull}) {
-        std::vector<Block128> batch(48);
-        ctr.genPads(base, batch.data(), batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-            Block128 iv{};
-            storeLe64(iv.data(), 0xabcd);
-            storeLe64(iv.data() + 8, base + i);
-            EXPECT_EQ(batch[i], ref.encryptBlock(iv))
-                << "base=" << base << " i=" << i;
-        }
-    }
-}
-
-TEST(Aes128, DefaultImplFallsBackGracefully)
-{
-    // setImpl(aesni) on a host without AES-NI must fall back to the
-    // T-table path, never crash; with AES-NI the choice sticks.
-    Aes128 aes(block("000102030405060708090a0b0c0d0e0f"));
-    aes.setImpl(AesImpl::Aesni);
-    EXPECT_EQ(toHex(aes.encryptBlock(
-                  block("00112233445566778899aabbccddeeff"))),
-              "69c4e0d86a7b0430d8cdb78070b4c55a");
-}
-
-TEST(Aes128, ImplNamesStable)
-{
-    EXPECT_STREQ(aesImplName(AesImpl::Ttable), "ttable");
-    EXPECT_STREQ(aesImplName(AesImpl::Reference), "reference");
-    EXPECT_STREQ(aesImplName(AesImpl::Aesni), "aesni");
 }
 
 TEST(AesCtr, PadMatchesManualConstruction)
@@ -371,15 +226,15 @@ implAvailable(AesImpl impl)
 
 /** The lanes the pad generator dispatches across, widest last. */
 constexpr AesImpl kAllImpls[] = {
-    AesImpl::Ttable, AesImpl::Reference, AesImpl::Aesni, AesImpl::Vaes,
+    AesImpl::Reference, AesImpl::Aesni, AesImpl::Vaes,
 };
 
 } // namespace
 
 TEST(Aes128, Fips197EveryImplementation)
 {
-    // The FIPS-197 Appendix B vector must come out of every lane the
-    // dispatch can pick, not just the scalar paths.
+    // The FIPS-197 Appendix B and C.1 vectors must come out of every
+    // lane the dispatch can pick, across a re-key.
     for (AesImpl impl : kAllImpls) {
         if (!implAvailable(impl))
             continue;
@@ -389,35 +244,53 @@ TEST(Aes128, Fips197EveryImplementation)
                       block("3243f6a8885a308d313198a2e0370734"))),
                   "3925841d02dc09fbdc118597196a0b32")
             << aesImplName(impl);
+        aes.setKey(block("000102030405060708090a0b0c0d0e0f"));
+        EXPECT_EQ(toHex(aes.encryptBlock(
+                      block("00112233445566778899aabbccddeeff"))),
+                  "69c4e0d86a7b0430d8cdb78070b4c55a")
+            << aesImplName(impl);
     }
 }
 
 TEST(Aes128, EncryptBlocksCrossImplRandomized)
 {
-    // Randomized equivalence of the batched entry point across every
-    // available implementation, over sizes that cross the 4-wide and
-    // 16-wide grouping boundaries, out-of-place and aliased in place.
+    // Randomized equivalence of both entry points across every
+    // available implementation and many random keys. Every batch size
+    // up to 20 hits each of the AES-NI 8/4/1-wide legs and the VAES
+    // 16-wide/tail split; all run out-of-place and aliased in place
+    // against the reference computed block by block.
     Random rng(0xba7c4);
-    Aes128 ref(block("000102030405060708090a0b0c0d0e0f"));
-    ref.setImpl(AesImpl::Reference);
-    for (size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 15u, 16u, 17u, 48u}) {
-        std::vector<Block128> in(n), expect(n);
-        for (auto &b : in)
-            rng.fillBytes(b.data(), b.size());
-        ref.encryptBlocks(in.data(), expect.data(), n);
-        for (AesImpl impl : kAllImpls) {
-            if (!implAvailable(impl))
-                continue;
-            Aes128 aes(block("000102030405060708090a0b0c0d0e0f"));
-            aes.setImpl(impl);
-            std::vector<Block128> out(n);
-            aes.encryptBlocks(in.data(), out.data(), n);
-            EXPECT_EQ(out, expect)
-                << aesImplName(impl) << " n=" << n;
-            std::vector<Block128> aliased = in;
-            aes.encryptBlocks(aliased.data(), aliased.data(), n);
-            EXPECT_EQ(aliased, expect)
-                << aesImplName(impl) << " aliased n=" << n;
+    std::vector<size_t> sizes;
+    for (size_t n = 1; n <= 20; ++n)
+        sizes.push_back(n);
+    sizes.push_back(48);
+    for (int k = 0; k < 20; ++k) {
+        Aes128::Key key;
+        rng.fillBytes(key.data(), key.size());
+        Aes128 ref(key);
+        ref.setImpl(AesImpl::Reference);
+        for (size_t n : sizes) {
+            std::vector<Block128> in(n), expect(n);
+            for (auto &b : in)
+                rng.fillBytes(b.data(), b.size());
+            for (size_t i = 0; i < n; ++i)
+                expect[i] = ref.encryptBlock(in[i]);
+            for (AesImpl impl : kAllImpls) {
+                if (!implAvailable(impl))
+                    continue;
+                Aes128 aes(key);
+                aes.setImpl(impl);
+                std::vector<Block128> out(n);
+                aes.encryptBlocks(in.data(), out.data(), n);
+                EXPECT_EQ(out, expect)
+                    << aesImplName(impl) << " key=" << k << " n=" << n;
+                std::vector<Block128> aliased = in;
+                aes.encryptBlocks(aliased.data(), aliased.data(), n);
+                EXPECT_EQ(aliased, expect)
+                    << aesImplName(impl) << " aliased n=" << n;
+                EXPECT_EQ(aes.encryptBlock(in[0]), expect[0])
+                    << aesImplName(impl) << " key=" << k;
+            }
         }
     }
 }
@@ -426,26 +299,72 @@ TEST(AesCtr, GenPadsCrossImplEquivalence)
 {
     // genPads builds IVs in the output buffer and encrypts them in
     // place (aliased), so every lane must agree on the aliasing
-    // contract as well as the ciphertexts. Includes the request-group
-    // stride (6) and the bench's per-flush arena size (192).
-    AesCtr ref(block("2b7e151628aed2a6abf7158809cf4f3c"), 0xabcd);
+    // contract as well as the ciphertexts. Each pad is pinned to the
+    // reference cipher of an IV built by hand, so the pads the
+    // prefetch rings serve cannot depend on the lane behind them.
+    // Includes the request-group stride (6), one prefetch refill (48)
+    // and the bench's per-flush arena size (192).
+    Aes128 ref(block("2b7e151628aed2a6abf7158809cf4f3c"));
     ref.setImpl(AesImpl::Reference);
     for (AesImpl impl : kAllImpls) {
         if (!implAvailable(impl))
             continue;
         AesCtr ctr(block("2b7e151628aed2a6abf7158809cf4f3c"), 0xabcd);
         ctr.setImpl(impl);
-        for (size_t n : {1u, 5u, 6u, 17u, 192u}) {
-            std::vector<Block128> expect(n), got(n);
-            ref.genPads(7777, expect.data(), n);
-            ctr.genPads(7777, got.data(), n);
-            EXPECT_EQ(got, expect)
-                << aesImplName(impl) << " n=" << n;
+        for (uint64_t base : {0ull, 6ull, 48ull, 7777ull, 999999ull}) {
+            for (size_t n : {1u, 5u, 6u, 17u, 48u, 192u}) {
+                std::vector<Block128> got(n);
+                ctr.genPads(base, got.data(), n);
+                for (size_t i = 0; i < n; ++i) {
+                    Block128 iv{};
+                    storeLe64(iv.data(), 0xabcd);
+                    storeLe64(iv.data() + 8, base + i);
+                    EXPECT_EQ(got[i], ref.encryptBlock(iv))
+                        << aesImplName(impl) << " base=" << base
+                        << " n=" << n << " i=" << i;
+                }
+            }
         }
     }
 }
 
-TEST(Aes128, WideImplNamesStable)
+TEST(Aes128, DefaultImplIsWidestAvailableLane)
 {
+    // CPUID alone picks the default: VAES, then AES-NI, then the
+    // reference path. New instances start on it.
+    const AesImpl widest = Aes128::vaesAvailable()    ? AesImpl::Vaes
+                           : Aes128::aesniAvailable() ? AesImpl::Aesni
+                                                      : AesImpl::Reference;
+    EXPECT_EQ(Aes128::defaultImpl(), widest);
+    EXPECT_EQ(Aes128(block("000102030405060708090a0b0c0d0e0f")).impl(),
+              widest);
+}
+
+TEST(Aes128, DefaultImplFallsBackGracefully)
+{
+    // Requesting a lane the build or CPU lacks steps down the ladder
+    // (vaes -> aesni -> reference) and never crashes; an available
+    // lane sticks. Either way the cipher stays FIPS-197 exact.
+    const AesImpl aesni_or_ref = Aes128::aesniAvailable()
+                                     ? AesImpl::Aesni
+                                     : AesImpl::Reference;
+    Aes128 aes(block("000102030405060708090a0b0c0d0e0f"));
+    aes.setImpl(AesImpl::Aesni);
+    EXPECT_EQ(aes.impl(), aesni_or_ref);
+    EXPECT_EQ(toHex(aes.encryptBlock(
+                  block("00112233445566778899aabbccddeeff"))),
+              "69c4e0d86a7b0430d8cdb78070b4c55a");
+    aes.setImpl(AesImpl::Vaes);
+    EXPECT_EQ(aes.impl(), Aes128::vaesAvailable() ? AesImpl::Vaes
+                                                  : aesni_or_ref);
+    EXPECT_EQ(toHex(aes.encryptBlock(
+                  block("00112233445566778899aabbccddeeff"))),
+              "69c4e0d86a7b0430d8cdb78070b4c55a");
+}
+
+TEST(Aes128, ImplNamesStable)
+{
+    EXPECT_STREQ(aesImplName(AesImpl::Reference), "reference");
+    EXPECT_STREQ(aesImplName(AesImpl::Aesni), "aesni");
     EXPECT_STREQ(aesImplName(AesImpl::Vaes), "vaes");
 }

@@ -259,23 +259,42 @@ TEST(ObfusMem, ReplayedReplyDetected)
 
 TEST(ObfusMem, PadAccountingMatchesPaperRecipe)
 {
-    // 6 pads per request group + 5 per reply on each side
-    // (Sec. 5.2's energy analysis counts these).
+    // 6 pads per request group + 5 per reply on each side (Sec. 5.2's
+    // energy analysis counts these). The processor side claims 6
+    // counters for every group it puts on the wire - real, fill or
+    // retransmit - and 5 for every reply it receives. run() drains the
+    // memory system, so in a fault-free run every group has had its
+    // one reply: a real read's reply completes the requester, any
+    // other is discarded. The memory sides answer real and dummy reads
+    // alike (dummy policy Fixed), which counts the same replies from
+    // the sending end.
     System sys(smallConfig(ProtectionMode::ObfusMemAuth));
     sys.run();
-    auto &ps = *sys.procSide();
-    double groups = ps.stats().scalarValue("realReads")
-                    + ps.stats().scalarValue("realWrites")
-                    + ps.stats().scalarValue("channelFillGroups");
-    double replies = ps.stats().scalarValue("realReads")
-                     + ps.stats().scalarValue("realWrites")
-                     + ps.stats().scalarValue("channelFillGroups")
-                     - ps.stats().scalarValue("forwardedFromWriteQueue")
-                     - ps.stats().scalarValue("realFillSubstitutions");
-    (void)replies;
-    EXPECT_GE(ps.stats().scalarValue("padsUsed"),
-              static_cast<uint64_t>(groups
-                                    * countersPerRequestGroup));
+    auto stat = [&sys](const std::string &name) {
+        return static_cast<uint64_t>(sys.rootStats().scalarValue(name));
+    };
+    ASSERT_EQ(stat("obfusProc.headerDesyncs"), 0u);
+    ASSERT_EQ(stat("obfusProc.macFailures"), 0u);
+    ASSERT_EQ(stat("obfusProc.retransmits"), 0u);
+
+    const uint64_t groups = stat("obfusProc.realReads")
+                            + stat("obfusProc.realWrites")
+                            + stat("obfusProc.channelFillGroups")
+                            + stat("obfusProc.retransmits");
+    const uint64_t replies = stat("obfusProc.realReads")
+                             + stat("obfusProc.repliesDiscarded");
+    uint64_t replies_sent = 0;
+    for (size_t c = 0; c < sys.memSides().size(); ++c) {
+        const std::string side = "obfusMem" + std::to_string(c) + ".";
+        replies_sent += stat(side + "realReads")
+                        + stat(side + "dummyReadsAnswered");
+    }
+    EXPECT_GT(groups, 0u);
+    EXPECT_EQ(replies, groups);
+    EXPECT_EQ(replies_sent, replies);
+    EXPECT_EQ(stat("obfusProc.padsUsed"),
+              groups * countersPerRequestGroup
+                  + replies * countersPerReply);
 }
 
 TEST(ObfusMem, BootProtocolKeysWork)

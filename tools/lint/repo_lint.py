@@ -30,9 +30,9 @@ know about:
                   heap allocation) per hop. Capture with std::move, by
                   reference, or carry a PacketPool handle.
   aes-dispatch    a direct Aes128 object in src/ outside src/crypto/:
-                  raw block-cipher use bypasses the runtime AES
-                  implementation dispatch (vaes/aesni/ttable/reference)
-                  and the counter-mode pad plumbing that the prefetch
+                  raw block-cipher use bypasses the CPUID-picked AES
+                  lane (vaes, then aesni, then reference) and the
+                  counter-mode pad plumbing that the prefetch
                   pipeline and the trace auditor's pad ledgers hang
                   off. Consume AesCtr / PadPrefetcher / IvPadMemo
                   instead; nested types (Aes128::Key) stay fine.
