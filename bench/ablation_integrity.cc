@@ -50,13 +50,11 @@ main()
         sweep(cfgs, [](System &sys, const RunOutcome &out) {
             Row row;
             row.out = out;
-            if (sys.encryptionEngine()) {
-                row.bmtFetches =
-                    sys.encryptionEngine()->stats().scalarValue(
-                        "bmtFetches");
-                row.bmtWritebacks =
-                    sys.encryptionEngine()->stats().scalarValue(
-                        "bmtWritebacks");
+            if (sys.config().mode == ProtectionMode::EncryptionOnly) {
+                row.bmtFetches = sys.rootStats().scalarValue(
+                    "encEngine.bmtFetches");
+                row.bmtWritebacks = sys.rootStats().scalarValue(
+                    "encEngine.bmtWritebacks");
             }
             return row;
         });

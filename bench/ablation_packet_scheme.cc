@@ -44,7 +44,6 @@ main()
             SystemConfig cfg =
                 makeConfig(ProtectionMode::ObfusMemAuth, name);
             cfg.obfusmem.uniformPackets = uniform;
-            cfg.attachObserver = true;
             cfgs.push_back(cfg);
         }
     }
@@ -52,12 +51,12 @@ main()
         sweep(cfgs, [](System &sys, const RunOutcome &out) {
             Row row;
             row.out = out;
-            if (sys.observer() && out.result.instructions) {
-                row.busBytesPerInstr =
-                    static_cast<double>(
-                        sys.observer()->bytesToMemory()
-                        + sys.observer()->bytesToProcessor())
-                    / out.result.instructions;
+            if (out.result.instructions) {
+                double bytes = 0;
+                for (unsigned c = 0; c < sys.config().channels; ++c)
+                    bytes += sys.rootStats().scalarValue(
+                        "bus" + std::to_string(c) + ".bytes");
+                row.busBytesPerInstr = bytes / out.result.instructions;
             }
             return row;
         });

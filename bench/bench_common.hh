@@ -225,19 +225,14 @@ jsonSpeedupRow(const std::string &bench, const std::string &config,
 
 /**
  * Per-binary bookkeeping for OBFUSMEM_BENCH_JSON runs. Construct one
- * at the top of a benchmark's main():
- *  - on construction it appends a host-metadata row (probed CPU
- *    feature flags, the resolved AES lane, sweep job count) so
- *    baselines recorded on different machines are comparable;
- *  - on destruction it appends a `total_wall` summary row covering
- *    the binary's whole lifetime, which is what the CI perf budget
- *    compares against the checked-in baseline.
+ * at the top of a benchmark's main(): it appends a host-metadata row
+ * (probed CPU feature flags, the resolved AES lane, sweep job count)
+ * so rows recorded on different machines are comparable.
  */
 class Session
 {
   public:
     explicit Session(const std::string &bench)
-        : benchName(bench), start(std::chrono::steady_clock::now())
     {
         std::FILE *f = detail::jsonFile();
         if (!f)
@@ -247,7 +242,7 @@ class Session
                      "{\"bench\":\"%s\",\"config\":\"host\","
                      "\"workload\":\"meta\",\"cpu_features\":\"%s\","
                      "\"aes_impl\":\"%s\",\"jobs\":%u}\n",
-                     detail::jsonEscape(benchName).c_str(),
+                     detail::jsonEscape(bench).c_str(),
                      detail::jsonEscape(
                          crypto::cpuFeatureSummary()).c_str(),
                      crypto::aesImplName(
@@ -258,18 +253,6 @@ class Session
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
-
-    ~Session()
-    {
-        double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-        jsonRow(benchName, "host", "total_wall", 0, 0.0, wall_ms);
-    }
-
-  private:
-    std::string benchName;
-    std::chrono::steady_clock::time_point start;
 };
 
 inline void

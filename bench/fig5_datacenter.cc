@@ -21,8 +21,9 @@
  *                      OBFUSMEM_DATACENTER_MIN_SPEEDUP (default: off;
  *                      a malformed value exits 2 before any run)
  *
- * Knobs: OBFUSMEM_SIM_SHARDS (0 = one per hardware thread),
- * OBFUSMEM_DATACENTER_REQS (requests per tenant), OBFUSMEM_QUICK.
+ * Every mode runs on `--shards N` worker shards (default 1, 0 = one
+ * per hardware thread). Knobs: OBFUSMEM_DATACENTER_REQS (requests
+ * per tenant), OBFUSMEM_QUICK.
  */
 
 #include <cstdio>
@@ -191,7 +192,7 @@ main(int argc, char **argv)
         }
     }
 
-    unsigned shards = ShardedKernel::shardsFromEnv();
+    unsigned shards = 1;
     std::string trace_path;
     bool scaling = false;
     bool quick = env::flag("OBFUSMEM_QUICK");
@@ -202,7 +203,6 @@ main(int argc, char **argv)
             scaling = true;
         } else if (!std::strcmp(argv[i], "--shards")
                    && i + 1 < argc) {
-            // Same values and meaning as OBFUSMEM_SIM_SHARDS.
             const std::optional<uint64_t> n = env::parseU64(argv[++i]);
             if (!n)
                 return usage(argv[0]);

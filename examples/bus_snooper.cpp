@@ -6,8 +6,10 @@
  * extract in each case (paper Secs. 2.3 and 6.1).
  */
 
+#include <cmath>
 #include <iomanip>
 #include <iostream>
+#include <string>
 
 #include "system/system.hh"
 
@@ -37,40 +39,48 @@ snoop(ProtectionMode mode)
     sys.eventQueue().run();
     sys.flushAndDrain();
 
-    const BusObserver &obs = *sys.observer();
+    // What the probe measured, read by name from its stats group.
+    const statistics::Group &stats = sys.rootStats();
+    auto probe = [&stats](const char *name) {
+        return stats.scalarValue(std::string("auditor.") + name);
+    };
+    const double reads = probe("apparentReads");
+    const double requests = reads + probe("apparentWrites");
+    const double reuse =
+        requests ? probe("reusedRequests") / requests : 0.0;
+    const double hottest = probe("hottestAddrCount");
+    const double imbalance =
+        requests ? std::abs(reads / requests - 0.5) * 2.0 : 0.0;
+    const double active = probe("activeBuckets");
+    const double solo = active ? probe("soloBuckets") / active : 0.0;
+    double bytes = 0;
+    for (unsigned c = 0; c < cfg.channels; ++c)
+        bytes += stats.scalarValue("bus" + std::to_string(c) + ".bytes");
+
     std::cout << "--- " << protectionModeName(mode) << " ---\n";
     std::cout << std::fixed << std::setprecision(3);
     std::cout << "  request messages seen      : "
-              << obs.requestMessages() << "\n";
+              << static_cast<uint64_t>(requests) << "\n";
     std::cout << "  distinct wire addresses    : "
-              << obs.distinctWireAddrs() << "\n";
-    std::cout << "  address reuse fraction     : "
-              << obs.addrReuseFraction()
-              << (obs.addrReuseFraction() > 0.01
-                      ? "   <- temporal pattern leaks"
-                      : "   (no temporal signal)")
+              << static_cast<uint64_t>(probe("distinctAddrs")) << "\n";
+    std::cout << "  address reuse fraction     : " << reuse
+              << (reuse > 0.01 ? "   <- temporal pattern leaks"
+                               : "   (no temporal signal)")
               << "\n";
     std::cout << "  hottest address seen       : "
-              << obs.hottestAddrCount() << "x"
-              << (obs.hottestAddrCount() > 2
-                      ? "   <- dictionary-attack handle"
-                      : "")
+              << static_cast<uint64_t>(hottest) << "x"
+              << (hottest > 2 ? "   <- dictionary-attack handle" : "")
               << "\n";
-    std::cout << "  read/write imbalance       : "
-              << obs.typeImbalance()
-              << (obs.typeImbalance() < 0.01
-                      ? "   (perfect read-then-write pairs)"
-                      : "   <- request types leak")
+    std::cout << "  read/write imbalance       : " << imbalance
+              << (imbalance < 0.01 ? "   (perfect read-then-write pairs)"
+                                   : "   <- request types leak")
               << "\n";
-    std::cout << "  solo-channel time buckets  : "
-              << obs.soloBucketFraction()
-              << (obs.soloBucketFraction() > 0.03
-                      ? "   <- inter-channel pattern leaks"
-                      : "   (channels indistinguishable)")
+    std::cout << "  solo-channel time buckets  : " << solo
+              << (solo > 0.03 ? "   <- inter-channel pattern leaks"
+                              : "   (channels indistinguishable)")
               << "\n";
-    std::cout << "  bytes to memory / to proc  : "
-              << obs.bytesToMemory() << " / " << obs.bytesToProcessor()
-              << "\n\n";
+    std::cout << "  bytes on the wires         : "
+              << static_cast<uint64_t>(bytes) << "\n\n";
 }
 
 } // namespace

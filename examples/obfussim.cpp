@@ -200,17 +200,17 @@ main(int argc, char **argv)
     std::cout << "  PCM cell writes: " << r.cellWrites << "\n";
     std::cout << "  PCM energy     : " << r.pcmEnergyPj << " pJ\n";
 
-    if (show_observer && system.observer()) {
-        const BusObserver &obs = *system.observer();
+    if (show_observer && system.auditor()) {
         std::cout << "\nattacker observer:\n";
-        std::cout << "  request messages  : " << obs.requestMessages()
-                  << "\n";
-        std::cout << "  addr reuse        : "
-                  << obs.addrReuseFraction() << "\n";
-        std::cout << "  type imbalance    : " << obs.typeImbalance()
-                  << "\n";
-        std::cout << "  solo-channel frac : "
-                  << obs.soloBucketFraction() << "\n";
+        for (const char *name :
+             {"apparentReads", "apparentWrites", "reusedRequests",
+              "hottestAddrCount", "activeBuckets", "soloBuckets"}) {
+            std::cout << "  " << name << " : "
+                      << static_cast<uint64_t>(
+                             system.rootStats().scalarValue(
+                                 std::string("auditor.") + name))
+                      << "\n";
+        }
     }
 
     if (dump_stats) {

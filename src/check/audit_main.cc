@@ -16,7 +16,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -26,36 +25,6 @@
 using namespace obfusmem;
 
 namespace {
-
-/**
- * Wire-trace dumper: one line per snooped bus message, exactly the
- * attacker's view. CI diffs a recovery-on trace against a recovery-off
- * trace of the same faultless run to prove the recovery layer is
- * wire-invisible until a fault actually occurs.
- */
-class TraceDumper : public BusProbe
-{
-  public:
-    explicit TraceDumper(const std::string &path) : out(path)
-    {
-        if (!out) {
-            std::cerr << "cannot open trace file: " << path << "\n";
-            std::exit(2);
-        }
-    }
-
-    void observe(const BusSnoop &snoop) override
-    {
-        out << snoop.when << ' '
-            << (snoop.dir == BusDir::ToMemory ? "toMem" : "toProc")
-            << ' ' << snoop.channel << ' ' << snoop.bytes << ' '
-            << (snoop.wireIsWrite ? 'W' : 'R') << ' ' << std::hex
-            << snoop.wireAddr << std::dec << '\n';
-    }
-
-  private:
-    std::ofstream out;
-};
 
 void
 usage(const char *argv0)
@@ -194,11 +163,22 @@ main(int argc, char **argv)
 
     System sys(cfg);
 
-    std::unique_ptr<TraceDumper> dumper;
+    // The attacker's view, one line per snooped message. CI diffs a
+    // recovery-on trace against a recovery-off trace of the same
+    // faultless run to prove the recovery layer is wire-invisible
+    // until a fault actually occurs.
+    std::ofstream trace_file;
+    std::optional<WireTraceRecorder> recorder;
     if (!trace_path.empty()) {
-        dumper = std::make_unique<TraceDumper>(trace_path);
+        trace_file.open(trace_path);
+        if (!trace_file) {
+            std::cerr << "cannot open trace file: " << trace_path
+                      << "\n";
+            return 2;
+        }
+        recorder.emplace(trace_file);
         for (auto &bus : sys.channelBuses())
-            bus->attachProbe(dumper.get());
+            bus->attachProbe(&*recorder);
     }
 
     if (inject_drop) {

@@ -5,8 +5,6 @@
 
 #include "check/trace_auditor.hh"
 
-#include <bit>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -43,11 +41,39 @@ operator<<(std::ostream &os, const Violation &v)
     return os << " : " << v.detail;
 }
 
-TraceAuditor::TraceAuditor(const Params &params_)
-    : params(params_), chans(params_.channels)
+TraceAuditor::TraceAuditor(const Params &params_,
+                           statistics::Group &parent)
+    : params(params_), chans(params_.channels),
+      statGroup("auditor", &parent),
+      violationGroup("violations", &statGroup)
 {
     OBF_ASSERT(params.channels > 0, "auditor needs >= 1 channel");
     OBF_ASSERT(params.bucketTicks > 0, "bucketTicks must be nonzero");
+
+    statGroup.addScalar("messages", &messages,
+                        "bus messages audited");
+    statGroup.addScalar("apparentReads", &apparentReads,
+                        "payload-less request messages");
+    statGroup.addScalar("apparentWrites", &apparentWrites,
+                        "payload-carrying request messages");
+    statGroup.addScalar("reusedRequests", &reusedRequests,
+                        "requests whose wire address already "
+                        "crossed that channel");
+    statGroup.addScalar("distinctAddrs", &distinctAddrs,
+                        "distinct request wire addresses");
+    statGroup.addScalar("hottestAddrCount", &hottestAddrCount,
+                        "requests to the hottest wire address");
+    statGroup.addScalar("activeBuckets", &activeBuckets,
+                        "time buckets with a request on any channel");
+    statGroup.addScalar("soloBuckets", &soloBuckets,
+                        "active buckets with requests on one channel");
+    statGroup.addScalar("toleratedIncidents", &toleratedIncidents,
+                        "recoverable endpoint incidents tolerated");
+    for (size_t i = 0; i < numInvariants; ++i) {
+        violationGroup.addScalar(
+            invariantName(static_cast<Invariant>(i)),
+            &violationTallies[i]);
+    }
 }
 
 void
@@ -56,7 +82,7 @@ TraceAuditor::addViolation(Invariant invariant, unsigned channel,
                            std::string detail)
 {
     ++violationCount;
-    ++invariantCounts[static_cast<size_t>(invariant)];
+    ++violationTallies[static_cast<size_t>(invariant)];
     if (params.warnOnline && violationCount == 1) {
         warn("trace audit: first violation: ",
              invariantName(invariant), " on channel ", channel,
@@ -138,9 +164,17 @@ TraceAuditor::checkLength(ChannelAudit &ca, const BusSnoop &snoop)
 void
 TraceAuditor::checkFreshness(ChannelAudit &ca, const BusSnoop &snoop)
 {
-    auto &seen = snoop.dir == BusDir::ToMemory ? ca.toMemWireAddrs
-                                               : ca.toProcWireAddrs;
-    if (!seen.insert(snoop.wireAddr).second) {
+    bool fresh;
+    if (snoop.dir == BusDir::ToMemory) {
+        uint64_t &seen = ca.toMemWireAddrs[snoop.wireAddr];
+        fresh = seen++ == 0;
+        ++(fresh ? distinctAddrs : reusedRequests);
+        if (static_cast<double>(seen) > hottestAddrCount.value())
+            hottestAddrCount.set(static_cast<double>(seen));
+    } else {
+        fresh = ca.toProcWireAddrs.insert(snoop.wireAddr).second;
+    }
+    if (!fresh) {
         addViolation(Invariant::PadFreshness, snoop.channel,
                      snoop.when, snoop.wireAddr,
                      "wire header bits repeat on this channel "
@@ -149,17 +183,24 @@ TraceAuditor::checkFreshness(ChannelAudit &ca, const BusSnoop &snoop)
 }
 
 void
-TraceAuditor::rolloverBucket(uint64_t new_bucket)
+TraceAuditor::markBusy(ChannelAudit &ca, Tick when)
 {
-    if (currentBucketMask != 0) {
-        ++activeBuckets;
-        if (std::popcount(currentBucketMask) == 1
-            && params.channels > 1) {
-            ++soloBuckets;
-        }
+    const uint64_t bucket = when / params.bucketTicks;
+    if (bucket != currentBucket) {
+        currentBucket = bucket;
+        busyChannels = 0;
     }
-    currentBucketMask = 0;
-    currentBucket = new_bucket;
+    if (ca.busyBucket == bucket + 1)
+        return; // this channel is already busy in this bucket
+    ca.busyBucket = bucket + 1;
+    // A bucket is solo while exactly one channel is busy in it.
+    if (++busyChannels == 1) {
+        ++activeBuckets;
+        if (params.channels > 1)
+            ++soloBuckets;
+    } else if (busyChannels == 2) {
+        soloBuckets += -1;
+    }
 }
 
 void
@@ -170,14 +211,11 @@ TraceAuditor::observe(const BusSnoop &snoop)
     ++messages;
     ChannelAudit &ca = chans[snoop.channel];
 
-    uint64_t bucket = snoop.when / params.bucketTicks;
-    if (bucket != currentBucket)
-        rolloverBucket(bucket);
-    if (snoop.dir == BusDir::ToMemory)
-        currentBucketMask |= 1u << snoop.channel;
-
-    if (snoop.dir == BusDir::ToMemory)
+    if (snoop.dir == BusDir::ToMemory) {
+        ++(snoop.wireIsWrite ? apparentWrites : apparentReads);
+        markBusy(ca, snoop.when);
         checkPairing(ca, snoop);
+    }
     checkLength(ca, snoop);
     checkFreshness(ca, snoop);
 }
@@ -248,7 +286,7 @@ TraceAuditor::onIncident(Tick when, unsigned channel,
 
     bool recoverable = incident != ChannelIncident::ChannelQuarantined;
     if (params.tolerateRecoverableIncidents && recoverable) {
-        ++tolerated;
+        ++toleratedIncidents;
         return;
     }
     std::ostringstream oss;
@@ -259,29 +297,6 @@ TraceAuditor::onIncident(Tick when, unsigned channel,
 }
 
 // --- Post-run pass --------------------------------------------------
-
-uint64_t
-TraceAuditor::violationCountFor(Invariant invariant) const
-{
-    return invariantCounts[static_cast<size_t>(invariant)];
-}
-
-double
-TraceAuditor::soloBucketFraction() const
-{
-    uint64_t active = activeBuckets;
-    uint64_t solo = soloBuckets;
-    if (currentBucketMask != 0) {
-        ++active;
-        if (std::popcount(currentBucketMask) == 1
-            && params.channels > 1) {
-            ++solo;
-        }
-    }
-    if (active == 0)
-        return 0.0;
-    return static_cast<double>(solo) / static_cast<double>(active);
-}
 
 bool
 TraceAuditor::finalize()
@@ -331,8 +346,8 @@ TraceAuditor::finalize()
     }
 
     if (params.channelScheme != ChannelScheme::None
-        && params.channels > 1) {
-        double solo = soloBucketFraction();
+        && params.channels > 1 && activeBuckets.value() > 0) {
+        double solo = soloBuckets.value() / activeBuckets.value();
         if (solo > params.maxSoloBucketFraction) {
             std::ostringstream oss;
             oss << "inter-channel correlation visible: "
@@ -350,7 +365,11 @@ TraceAuditor::finalize()
 bool
 TraceAuditor::report(std::ostream &os) const
 {
-    os << "trace-audit: " << messages << " messages on "
+    // Stats hold doubles; counts print as integers.
+    auto count = [](const statistics::Scalar &s) {
+        return static_cast<uint64_t>(s.value());
+    };
+    os << "trace-audit: " << count(messages) << " messages on "
        << params.channels << " channel(s), "
        << (params.uniformPackets ? "uniform" : "split")
        << " scheme\n";
@@ -360,16 +379,16 @@ TraceAuditor::report(std::ostream &os) const
         os << "  ... " << (violationCount - findings.size())
            << " further violations not recorded\n";
     }
-    for (size_t i = 0; i < std::size(invariantCounts); ++i) {
-        if (invariantCounts[i] == 0)
+    for (size_t i = 0; i < numInvariants; ++i) {
+        if (count(violationTallies[i]) == 0)
             continue;
         os << "  total "
            << invariantName(static_cast<Invariant>(i)) << ": "
-           << invariantCounts[i] << "\n";
+           << count(violationTallies[i]) << "\n";
     }
-    if (tolerated > 0) {
-        os << "  recoverable incidents tolerated: " << tolerated
-           << "\n";
+    if (count(toleratedIncidents) > 0) {
+        os << "  recoverable incidents tolerated: "
+           << count(toleratedIncidents) << "\n";
     }
     os << "trace-audit: "
        << (ok() ? "PASS (all invariants upheld)"

@@ -21,6 +21,14 @@
  * runs the post-run pass (counter synchronization, dummy coverage)
  * and report() renders a structured, CI-greppable diagnostic with a
  * boolean verdict suitable for a non-zero process exit.
+ *
+ * It is also the simulator's one attacker probe (paper Secs. 2.3,
+ * 3.2-3.4): online it keeps what a snooper learns from the wires -
+ * the apparent request types, wire-address reuse and the hottest
+ * address (temporal pattern, dictionary handle), the footprint, and
+ * how often a single channel is busy alone (inter-channel pattern).
+ * These measures, the violations per invariant and the tolerated
+ * incidents are scalars of its `auditor` stats group, read by name.
  */
 
 #ifndef OBFUSMEM_CHECK_TRACE_AUDITOR_HH
@@ -30,6 +38,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -37,6 +46,7 @@
 #include "mem/channel_bus.hh"
 #include "obfusmem/audit_hook.hh"
 #include "obfusmem/params.hh"
+#include "util/stats.hh"
 
 namespace obfusmem {
 namespace check {
@@ -78,7 +88,10 @@ enum class Invariant
     EndpointIncident,
 };
 
-/** Stable, greppable invariant name. */
+constexpr size_t numInvariants =
+    static_cast<size_t>(Invariant::EndpointIncident) + 1;
+
+/** Stable, greppable invariant name (also its violation stat). */
 const char *invariantName(Invariant invariant);
 
 /** One audit finding, with enough context to locate the packet. */
@@ -96,7 +109,8 @@ struct Violation
 std::ostream &operator<<(std::ostream &os, const Violation &v);
 
 /**
- * Online + post-run verifier of the obliviousness invariants.
+ * Online + post-run verifier of the obliviousness invariants, and the
+ * attacker's measures of the wire trace.
  */
 class TraceAuditor : public BusProbe, public AuditHook
 {
@@ -108,7 +122,7 @@ class TraceAuditor : public BusProbe, public AuditHook
         bool uniformPackets = false;
         /** Inter-channel scheme the trace claims to implement. */
         ChannelScheme channelScheme = ChannelScheme::Opt;
-        /** Time bucket for inter-channel coverage analysis. */
+        /** Time bucket for inter-channel activity analysis. */
         Tick bucketTicks = 200 * tickPerNs;
         /**
          * Tolerated fraction of active buckets with a single busy
@@ -132,7 +146,31 @@ class TraceAuditor : public BusProbe, public AuditHook
         bool tolerateRecoverableIncidents = false;
     };
 
-    explicit TraceAuditor(const Params &params);
+    /**
+     * Registers the `auditor` stats group under @p parent:
+     *  - messages: bus messages audited, both directions;
+     *  - apparentReads / apparentWrites: request messages without /
+     *    with a payload, as the command bit on the wires shows them;
+     *  - reusedRequests: request messages whose wire address already
+     *    crossed that channel toward memory;
+     *  - distinctAddrs: distinct request wire addresses, per channel,
+     *    summed;
+     *  - hottestAddrCount: most request messages one wire address
+     *    carried on one channel (a dictionary-attack handle);
+     *  - activeBuckets: time buckets in which a request crossed any
+     *    channel;
+     *  - soloBuckets: active buckets in which requests crossed
+     *    exactly one channel (only counted with channels > 1);
+     *  - toleratedIncidents: recoverable endpoint incidents tolerated
+     *    under injected faults;
+     *  - violations.<invariant name>: violations of each invariant.
+     * Replies count as audited messages but are no requests and mark
+     * no bucket busy. Every measure is exact at any time of the run.
+     */
+    TraceAuditor(const Params &params, statistics::Group &parent);
+
+    TraceAuditor(const TraceAuditor &) = delete;
+    TraceAuditor &operator=(const TraceAuditor &) = delete;
 
     // --- BusProbe: the attacker's vantage point ----------------------
     void observe(const BusSnoop &snoop) override;
@@ -161,21 +199,6 @@ class TraceAuditor : public BusProbe, public AuditHook
         return findings;
     }
 
-    /** Total violations including ones beyond the recording cap. */
-    uint64_t totalViolations() const { return violationCount; }
-
-    /** Violations of one specific invariant (not subject to the cap). */
-    uint64_t violationCountFor(Invariant invariant) const;
-
-    /** Messages audited from the wire tap. */
-    uint64_t messagesAudited() const { return messages; }
-
-    /** Endpoint incidents tolerated as recoverable (fault runs). */
-    uint64_t toleratedIncidents() const { return tolerated; }
-
-    /** Fraction of active buckets with exactly one busy channel. */
-    double soloBucketFraction() const;
-
     /**
      * Render a structured report.
      * @return ok(), so `return auditor.report(std::cerr) ? 0 : 1;`
@@ -201,8 +224,12 @@ class TraceAuditor : public BusProbe, public AuditHook
     {
         /** Split-scheme group phase: 0 expects read, 1 write. */
         unsigned phase = 0;
-        std::unordered_set<uint64_t> toMemWireAddrs;
+        /** Request messages seen per wire address. */
+        std::unordered_map<uint64_t, uint64_t> toMemWireAddrs;
         std::unordered_set<uint64_t> toProcWireAddrs;
+        /** Last time bucket a request crossed this channel, plus 1
+         *  (0: none yet). */
+        uint64_t busyBucket = 0;
         /** Established wire sizes per message class. */
         std::optional<uint32_t> readBytes;
         std::optional<uint32_t> writeBytes;
@@ -214,25 +241,34 @@ class TraceAuditor : public BusProbe, public AuditHook
     void addViolation(Invariant invariant, unsigned channel,
                       Tick when, uint64_t wire_addr,
                       std::string detail);
+    void markBusy(ChannelAudit &ca, Tick when);
     void checkPairing(ChannelAudit &ca, const BusSnoop &snoop);
     void checkLength(ChannelAudit &ca, const BusSnoop &snoop);
     void checkFreshness(ChannelAudit &ca, const BusSnoop &snoop);
-    void rolloverBucket(uint64_t new_bucket);
 
     Params params;
     std::vector<ChannelAudit> chans;
     std::vector<Violation> findings;
     uint64_t violationCount = 0;
-    /** Per-invariant tallies, indexed by the Invariant enum. */
-    uint64_t invariantCounts[8] = {};
-    uint64_t messages = 0;
-    uint64_t tolerated = 0;
-
-    uint64_t currentBucket = 0;
-    uint32_t currentBucketMask = 0;
-    uint64_t activeBuckets = 0;
-    uint64_t soloBuckets = 0;
     bool finalized = false;
+
+    /** Bucket markBusy() last saw, and how many channels it holds. */
+    uint64_t currentBucket = 0;
+    unsigned busyChannels = 0;
+
+    statistics::Group statGroup;
+    statistics::Group violationGroup;
+    statistics::Scalar messages;
+    statistics::Scalar apparentReads;
+    statistics::Scalar apparentWrites;
+    statistics::Scalar reusedRequests;
+    statistics::Scalar distinctAddrs;
+    statistics::Scalar hottestAddrCount;
+    statistics::Scalar activeBuckets;
+    statistics::Scalar soloBuckets;
+    statistics::Scalar toleratedIncidents;
+    /** Per-invariant tallies, indexed by the Invariant enum. */
+    statistics::Scalar violationTallies[numInvariants];
 };
 
 } // namespace check

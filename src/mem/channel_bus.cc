@@ -6,6 +6,7 @@
 #include "mem/channel_bus.hh"
 
 #include <cmath>
+#include <ostream>
 
 #include "mem/fault_injector.hh"
 #include "util/assert.hh"
@@ -103,6 +104,16 @@ ChannelBus::utilization() const
     if (now == 0)
         return 0.0;
     return busBusyTicks.value() / static_cast<double>(now);
+}
+
+void
+WireTraceRecorder::observe(const BusSnoop &snoop)
+{
+    out << snoop.when << ' '
+        << (snoop.dir == BusDir::ToMemory ? "toMem" : "toProc") << ' '
+        << snoop.channel << ' ' << snoop.bytes << ' '
+        << (snoop.wireIsWrite ? 'W' : 'R') << ' ' << std::hex
+        << snoop.wireAddr << std::dec << '\n';
 }
 
 } // namespace obfusmem

@@ -4,7 +4,8 @@
  * finite bandwidth (12.8 GB/s per channel in Table 2). This is the
  * only part of the system an external attacker can observe, so every
  * message carries the bytes that would really appear on the wires and
- * bus observers (src/obfusmem/observer.hh) can tap it.
+ * bus probes can tap it: the attacker's probe (check::TraceAuditor)
+ * and the wire-trace recorder below.
  */
 
 #ifndef OBFUSMEM_MEM_CHANNEL_BUS_HH
@@ -12,6 +13,7 @@
 
 #include <deque>
 #include <functional>
+#include <iosfwd>
 
 #include "sim/sim_object.hh"
 
@@ -39,6 +41,27 @@ class BusProbe
   public:
     virtual ~BusProbe() = default;
     virtual void observe(const BusSnoop &snoop) = 0;
+};
+
+/**
+ * Writes each snooped message to a stream as one wire-trace line,
+ * `when dir channel bytes W/R hexaddr` with dir `toMem` or `toProc`:
+ * exactly the attacker's view. CI byte-compares such traces across
+ * recovery on and off (`obfus_audit --dump-trace`) and across shard
+ * counts (`fig5_datacenter --trace-out`).
+ */
+class WireTraceRecorder : public BusProbe
+{
+  public:
+    explicit WireTraceRecorder(std::ostream &out) : out(out) {}
+
+    WireTraceRecorder(const WireTraceRecorder &) = delete;
+    WireTraceRecorder &operator=(const WireTraceRecorder &) = delete;
+
+    void observe(const BusSnoop &snoop) override;
+
+  private:
+    std::ostream &out;
 };
 
 class FaultInjector;

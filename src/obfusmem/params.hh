@@ -104,8 +104,8 @@ struct ObfusMemParams
     /** Issue epoch per channel in timing-oblivious mode. */
     Tick issueEpoch = 60 * tickPerNs;
 
-    /** Link-recovery subsystem (retry / resync / re-key) knobs. */
-    RecoveryParams recovery = defaultRecoveryParams();
+    /** Link-recovery subsystem (retry / resync / re-key). */
+    RecoveryParams recovery{};
 };
 
 } // namespace obfusmem

@@ -3,7 +3,7 @@
  * The unprotected (and encryption-only) channel path: commands and
  * addresses travel in the clear on the command pins, data blocks on
  * the data bus. This is the baseline every protected configuration is
- * normalized against, and it is also what makes the bus observer's
+ * normalized against, and it is also what makes the attacker probe's
  * attacks work: the snoop sees true addresses and request types.
  *
  * Like a real memory controller, the path buffers writes and gives

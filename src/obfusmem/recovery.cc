@@ -1,47 +1,16 @@
 /**
  * @file
- * Recovery knobs and control-plane key schedule.
+ * Control-plane key schedule of the link-recovery subsystem.
  */
 
 #include "obfusmem/recovery.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "crypto/bytes.hh"
 #include "crypto/md5.hh"
-#include "util/env.hh"
 
 namespace obfusmem {
-
-RecoveryParams
-RecoveryParams::fromEnv()
-{
-    RecoveryParams p;
-    // Each knob is bounded by what its field can hold: a value above
-    // the bound warns and keeps the default instead of wrapping.
-    constexpr uint64_t unsignedMax = std::numeric_limits<unsigned>::max();
-    p.enabled = env::u64("OBFUSMEM_RECOVERY", 1) != 0;
-    p.retryTimeout = env::u64("OBFUSMEM_RETRY_TIMEOUT_NS", 50000,
-                              UINT64_MAX / tickPerNs)
-                     * tickPerNs;
-    p.retryMax = static_cast<unsigned>(
-        env::u64("OBFUSMEM_RETRY_MAX", p.retryMax, unsignedMax));
-    // The resync scans run their group index through the window
-    // inclusive, so the window stays one below the index's range.
-    p.resyncWindowGroups = static_cast<unsigned>(env::u64(
-        "OBFUSMEM_RESYNC_WINDOW", p.resyncWindowGroups, unsignedMax - 1));
-    p.rekeyMaxAttempts = static_cast<unsigned>(
-        env::u64("OBFUSMEM_REKEY_MAX", p.rekeyMaxAttempts, unsignedMax));
-    return p;
-}
-
-const RecoveryParams &
-defaultRecoveryParams()
-{
-    static const RecoveryParams latched = RecoveryParams::fromEnv();
-    return latched;
-}
 
 crypto::Aes128::Key
 controlKeyFor(const crypto::Aes128::Key &session)

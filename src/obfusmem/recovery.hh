@@ -36,7 +36,7 @@
 
 namespace obfusmem {
 
-/** Knobs of the link-recovery subsystem (OBFUSMEM_RECOVERY*). */
+/** Configuration of the link-recovery subsystem. */
 struct RecoveryParams
 {
     /** Master switch; off reproduces the fail-stop paper behavior. */
@@ -49,13 +49,7 @@ struct RecoveryParams
     unsigned resyncWindowGroups = 16;
     /** Re-key attempts before the channel is quarantined. */
     unsigned rekeyMaxAttempts = 3;
-
-    /** Read the OBFUSMEM_RECOVERY/RETRY/RESYNC/REKEY knobs. */
-    static RecoveryParams fromEnv();
 };
-
-/** Knob-derived defaults, latched on first use. */
-const RecoveryParams &defaultRecoveryParams();
 
 /**
  * Nonce offset of the control-plane CTR streams. Data streams use

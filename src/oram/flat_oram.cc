@@ -207,7 +207,9 @@ FlatOram::deserialize(std::istream &is)
     lastReads.clear();
     lastWrites.clear();
     lastProbes = 0;
-    return true;
+    // Each field was in range; the structure they build must hold
+    // too, or a corrupt checkpoint would be accepted.
+    return checkInvariant();
 }
 
 } // namespace obfusmem

@@ -108,7 +108,10 @@ class FlatOram
 
     /** Checkpoint the functional state (incl. the RNG stream). */
     void serialize(std::ostream &os) const;
-    /** Restore from serialize() output; false on format mismatch. */
+    /**
+     * Restore from serialize() output; false on format mismatch or a
+     * state failing checkInvariant().
+     */
     bool deserialize(std::istream &is);
 
   private:

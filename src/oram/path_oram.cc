@@ -316,7 +316,9 @@ PathOram::deserialize(std::istream &is)
     maxTransientStash = max_transient;
     lastPeakStash = 0;
     lastSlots.clear();
-    return true;
+    // Each field was in range; the structure they build must hold
+    // too, or a corrupt checkpoint would be accepted.
+    return checkInvariant();
 }
 
 } // namespace obfusmem

@@ -147,8 +147,8 @@ class PathOram
     /**
      * Restore from serialize() output. Returns false (leaving the
      * structure unspecified) on a malformed stream, a geometry
-     * mismatch with this instance's params, a leaf >= 2^L or a slot
-     * index >= physicalBlocks().
+     * mismatch with this instance's params, a leaf >= 2^L, a slot
+     * index >= physicalBlocks() or a state failing checkInvariant().
      */
     bool deserialize(std::istream &is);
 

@@ -218,7 +218,9 @@ WriteOnlyOram::deserialize(std::istream &is)
     }
     lastReads.clear();
     lastWrites.clear();
-    return true;
+    // Each field was in range; the structure they build must hold
+    // too, or a corrupt checkpoint would be accepted.
+    return checkInvariant();
 }
 
 } // namespace obfusmem

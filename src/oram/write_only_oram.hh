@@ -99,8 +99,9 @@ class WriteOnlyOram
     /** Checkpoint the functional state. */
     void serialize(std::ostream &os) const;
     /**
-     * Restore from serialize() output; false on format mismatch or a
-     * holding entry whose block id or slot is >= capacityBlocks().
+     * Restore from serialize() output; false on format mismatch, a
+     * holding entry whose block id or slot is >= capacityBlocks(), or
+     * a state failing checkInvariant().
      */
     bool deserialize(std::istream &is);
 

@@ -9,7 +9,6 @@
 
 #include "runner/thread_pool.hh"
 #include "util/assert.hh"
-#include "util/env.hh"
 
 namespace obfusmem {
 
@@ -21,13 +20,6 @@ constexpr unsigned noShard = 0xffffffffu;
 thread_local unsigned tlsShard = noShard;
 
 } // namespace
-
-unsigned
-ShardedKernel::shardsFromEnv()
-{
-    static const unsigned shards = env::jobs("OBFUSMEM_SIM_SHARDS", 1);
-    return shards;
-}
 
 ShardedKernel::ShardedKernel(const Params &params_) : params(params_)
 {

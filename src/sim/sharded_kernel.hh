@@ -19,9 +19,9 @@
  * destination queue, so simulated results — wire traces, stats,
  * event order — are bit-identical at 1 shard and at N.
  *
- * `OBFUSMEM_SIM_SHARDS` selects the worker count (1 = serial on the
- * calling thread, 0 = one per hardware thread), mirroring
- * `OBFUSMEM_BENCH_JOBS`.
+ * Params::shards sets the worker count (1 = serial on the calling
+ * thread); `fig5_datacenter --shards N` resolves it, 0 meaning one per
+ * hardware thread.
  */
 
 #ifndef OBFUSMEM_SIM_SHARDED_KERNEL_HH
@@ -58,9 +58,6 @@ class ShardedKernel
          */
         Tick lookahead = 0;
     };
-
-    /** Shard count from OBFUSMEM_SIM_SHARDS (1 default, 0 = auto). */
-    static unsigned shardsFromEnv();
 
     explicit ShardedKernel(const Params &params);
     ~ShardedKernel();

@@ -111,14 +111,20 @@ struct SystemConfig
      */
     bool buildCores = true;
 
-    /** Attach the attacker's bus observer. */
+    /**
+     * Attach the attacker's probe (check::TraceAuditor) to every
+     * channel bus. What it measures of the wire trace is the
+     * `system.auditor` stats group; it warns about nothing while the
+     * run progresses and hears no endpoint report.
+     */
     bool attachObserver = true;
 
     /**
-     * Attach the obliviousness trace auditor (src/check): taps every
-     * channel bus and the ObfusMem endpoints and machine-checks the
-     * paper's security invariants over the whole run. Off by default;
-     * CI and the `obfus_audit` tool turn it on. Note that on the
+     * Attach the probe as the obliviousness trace auditor: it also
+     * hears the ObfusMem endpoints' pad and incident reports, warns
+     * at the first violation and machine-checks the paper's security
+     * invariants over the whole run. Off by default; CI and the
+     * `obfus_audit` tool turn it on. Note that on the
      * unprotected/encryption-only paths the auditor *will* report
      * violations - that is the point: those traces are not oblivious.
      */

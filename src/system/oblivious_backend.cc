@@ -79,11 +79,6 @@ class PlainBackend : public ObliviousBackend
         return std::nullopt;
     }
 
-    MemoryEncryptionEngine *encryptionEngine() override
-    {
-        return encEngine.get();
-    }
-
   private:
     BackingStore &store;
     uint64_t dataBytes;
@@ -156,11 +151,6 @@ class ObfusBackend : public ObliviousBackend
         if (addr < dataBytes)
             return encEngine->debugDecrypt(addr, store.read(addr));
         return std::nullopt;
-    }
-
-    MemoryEncryptionEngine *encryptionEngine() override
-    {
-        return encEngine.get();
     }
 
     ObfusMemProcSide *procSide() override { return obfusProc.get(); }

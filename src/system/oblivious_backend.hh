@@ -39,7 +39,8 @@ namespace obfusmem {
  * Everything a backend factory may wire against: the shared substrate
  * System builds before selecting a protection path. `buses`/`pcms`
  * are empty when the mode's registry row says needsBuses=false, and
- * `auditor` may be null.
+ * `auditor`, the probe the ObfusMem endpoints report to, is null
+ * unless SystemConfig::attachAuditor is set.
  */
 struct BackendContext
 {
@@ -91,10 +92,6 @@ class ObliviousBackend
 
     // --- Typed component access (null when the scheme lacks it) ------
 
-    virtual MemoryEncryptionEngine *encryptionEngine()
-    {
-        return nullptr;
-    }
     virtual ObfusMemProcSide *procSide() { return nullptr; }
     virtual std::vector<std::unique_ptr<ObfusMemMemSide>> *memSides()
     {

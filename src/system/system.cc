@@ -65,9 +65,7 @@ System::buildMemoryPath()
     const bool obfus_mode = info.obfuscatedWire;
 
     if (info.needsBuses) {
-        if (cfg.attachObserver)
-            busObserver = std::make_unique<BusObserver>(cfg.channels);
-        if (cfg.attachAuditor) {
+        if (cfg.attachObserver || cfg.attachAuditor) {
             check::TraceAuditor::Params ap;
             ap.channels = cfg.channels;
             ap.uniformPackets =
@@ -91,7 +89,10 @@ System::buildMemoryPath()
                 ap.maxSoloBucketFraction =
                     std::max(ap.maxSoloBucketFraction, 0.5);
             }
-            traceAuditor = std::make_unique<check::TraceAuditor>(ap);
+            // A probe attached only to watch the wire stays quiet.
+            ap.warnOnline = cfg.attachAuditor;
+            traceAuditor =
+                std::make_unique<check::TraceAuditor>(ap, root);
         }
         if (obfus_mode && cfg.faults.any()) {
             faultInjector =
@@ -102,8 +103,6 @@ System::buildMemoryPath()
             buses.push_back(std::make_unique<ChannelBus>(
                 "system.bus" + std::to_string(c), eq, &root, c,
                 cfg.bus));
-            if (busObserver)
-                buses.back()->attachProbe(busObserver.get());
             if (traceAuditor)
                 buses.back()->attachProbe(traceAuditor.get());
             if (faultInjector)
@@ -146,7 +145,7 @@ System::buildMemoryPath()
                        *store,
                        buses,
                        pcms,
-                       traceAuditor.get(),
+                       cfg.attachAuditor ? traceAuditor.get() : nullptr,
                        channelKeys,
                        kdfChannelKey(cfg.seed, 0xff)};
     protBackend = info.create(ctx);

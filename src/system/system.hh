@@ -1,7 +1,7 @@
 /**
  * @file
  * Top-level simulated system: cores, caches, the configured
- * protection path, channel buses, PCM, and the attacker's observer.
+ * protection path, channel buses, PCM, and the attacker's probe.
  * This is the main entry point of the library's public API.
  */
 
@@ -16,7 +16,6 @@
 #include "mem/backing_store.hh"
 #include "mem/packet_pool.hh"
 #include "obfusmem/mem_side.hh"
-#include "obfusmem/observer.hh"
 #include "obfusmem/plain_path.hh"
 #include "obfusmem/proc_side.hh"
 #include "system/config.hh"
@@ -109,15 +108,14 @@ class System
     CacheHierarchy &hierarchy() { return *caches; }
     BackingStore &backingStore() { return *store; }
     const AddressMap &addressMap() const { return *map; }
-    BusObserver *observer() { return busObserver.get(); }
+    /**
+     * The attacker's probe on the buses (null when neither
+     * attachObserver nor attachAuditor is set, or without buses).
+     */
     check::TraceAuditor *auditor() { return traceAuditor.get(); }
     FaultInjector *faults() { return faultInjector.get(); }
     /** The assembled protection path (never null). */
     ObliviousBackend &backend() { return *protBackend; }
-    MemoryEncryptionEngine *encryptionEngine()
-    {
-        return protBackend->encryptionEngine();
-    }
     ObfusMemProcSide *procSide() { return protBackend->procSide(); }
     std::vector<std::unique_ptr<ObfusMemMemSide>> &memSides()
     {
@@ -170,7 +168,6 @@ class System
     std::unique_ptr<BackingStore> store;
     std::vector<std::unique_ptr<ChannelBus>> buses;
     std::vector<std::unique_ptr<PcmController>> pcms;
-    std::unique_ptr<BusObserver> busObserver;
     std::unique_ptr<check::TraceAuditor> traceAuditor;
     std::unique_ptr<FaultInjector> faultInjector;
 

@@ -152,10 +152,9 @@ MultiTenantTopology::MultiTenantTopology(const TopologyConfig &config,
         endpointIds.push_back(
             theKernel.addEndpoint(socketsVec.back()->eventQueue()));
         if (cfg.recordTraces) {
-            recorders.push_back(
-                std::make_unique<WireTraceRecorder>());
+            recorders.emplace_back(traces.emplace_back());
             for (auto &bus : socketsVec.back()->channelBuses())
-                bus->attachProbe(recorders.back().get());
+                bus->attachProbe(&recorders.back());
         }
     }
 
@@ -249,10 +248,10 @@ MultiTenantTopology::run()
 void
 MultiTenantTopology::dumpWireTraces(std::ostream &os) const
 {
-    panic_if(recorders.empty(),
+    panic_if(traces.empty(),
              "wire traces not recorded (TopologyConfig::recordTraces)");
-    for (unsigned s = 0; s < recorders.size(); ++s)
-        os << "# socket " << s << '\n' << recorders[s]->text();
+    for (unsigned s = 0; s < traces.size(); ++s)
+        os << "# socket " << s << '\n' << traces[s].str();
 }
 
 void

@@ -14,12 +14,13 @@
  * other channel of its socket, so its cost grows with the per-socket
  * channel count while OPT's does not (the paper's Observation 3 at
  * rack scale). Simulated results are bit-identical for any
- * OBFUSMEM_SIM_SHARDS setting; see sim/sharded_kernel.hh.
+ * TopologyConfig::shards; see sim/sharded_kernel.hh.
  */
 
 #ifndef OBFUSMEM_SYSTEM_TOPOLOGY_HH
 #define OBFUSMEM_SYSTEM_TOPOLOGY_HH
 
+#include <deque>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -129,29 +130,6 @@ class TenantDriver
 };
 
 /**
- * Passive per-socket wire recorder in the audit tool's trace format
- * (`when dir channel bytes W/R hexaddr`); the determinism CI leg
- * byte-compares dumps across shard counts.
- */
-class WireTraceRecorder : public BusProbe
-{
-  public:
-    void observe(const BusSnoop &snoop) override
-    {
-        out << snoop.when << ' '
-            << (snoop.dir == BusDir::ToMemory ? "toMem" : "toProc")
-            << ' ' << snoop.channel << ' ' << snoop.bytes << ' '
-            << (snoop.wireIsWrite ? 'W' : 'R') << ' ' << std::hex
-            << snoop.wireAddr << std::dec << '\n';
-    }
-
-    std::string text() const { return out.str(); }
-
-  private:
-    std::ostringstream out;
-};
-
-/**
  * The rack: sockets, tenants, and the sharded kernel tying them
  * together. Single-shot: construct, run(), inspect.
  */
@@ -221,7 +199,10 @@ class MultiTenantTopology
     std::vector<std::unique_ptr<System>> socketsVec;
     std::vector<unsigned> endpointIds;
     std::vector<std::unique_ptr<TenantDriver>> tenants;
-    std::vector<std::unique_ptr<WireTraceRecorder>> recorders;
+    /** Per-socket wire traces (recordTraces only); deques keep
+     *  every element where it was built. */
+    std::deque<std::ostringstream> traces;
+    std::deque<WireTraceRecorder> recorders;
     bool ran = false;
 };
 

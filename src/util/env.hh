@@ -130,7 +130,7 @@ f64(const char *name, double def)
 
 /**
  * Worker count from a requested number (OBFUSMEM_BENCH_JOBS,
- * OBFUSMEM_SIM_SHARDS, `fig5_datacenter --shards`): 0 means "one per
+ * `fig5_datacenter --shards`): 0 means "one per
  * hardware thread" (with a fallback of 1 when the runtime cannot
  * report concurrency), and the result is clamped to @p cap — neither
  * a sweep nor a shard set ever usefully exceeds a couple hundred

@@ -1,7 +1,7 @@
 /**
  * @file
  * Sharded simulation kernel tests: the hard requirement is that
- * simulated results are bit-identical at OBFUSMEM_SIM_SHARDS=1 and N
+ * simulated results are bit-identical at 1 shard and at N
  * — the synthetic-workload tests compare full execution logs across
  * shard counts, the topology tests compare wire traces and stats
  * dumps of a small multi-tenant rack. Ordering tests run against both

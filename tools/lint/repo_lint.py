@@ -343,7 +343,7 @@ SELF_TEST_CASES = [
 SELF_TEST_CLEAN = [
     ("src/obfusmem/mac_engine.cc",
      "    return crypto::ctEqual(compute(hdr, counter), mac);\n"),
-    ("src/obfusmem/observer.cc",
+    ("src/obfusmem/audit_hook.cc",
      "    stats.macVerifyFailures == 0;\n"),
     ("tests/test_crypto_hash.cc",
      "    EXPECT_TRUE(digest == expected);\n"),
@@ -357,7 +357,7 @@ SELF_TEST_CLEAN = [
      "    EXPECT_EQ(0, memcmp(out, expected, 16));\n"),
     ("src/crypto/hmac.cc",
      "    return ctMemcmp(a, b, n);\n"),
-    ("src/obfusmem/observer.cc",
+    ("src/obfusmem/audit_hook.cc",
      "    stats.memcmpCount++; auto v = ledger.memcmp(x);\n"),
     # Moved and reference captures, and plain array indexing, are fine.
     ("src/obfusmem/plain_path.cc",
