@@ -50,9 +50,12 @@ main()
         sweep(cfgs, [](System &sys, const RunOutcome &out) {
             Row row;
             row.out = out;
-            for (auto &side : sys.memSides()) {
-                row.dummyPcm += side->stats().scalarValue(
-                    "dummyPcmAccesses");
+            if (sys.config().mode != ProtectionMode::ObfusMemAuth)
+                return row;
+            for (unsigned c = 0; c < sys.config().channels; ++c) {
+                row.dummyPcm += sys.rootStats().scalarValue(
+                    "obfusMem" + std::to_string(c)
+                    + ".dummyPcmAccesses");
             }
             return row;
         });

@@ -36,11 +36,11 @@ main()
     struct Row
     {
         RunOutcome out;
-        uint64_t accesses = 0;
-        uint64_t blocksTransferred = 0;
-        size_t maxStash = 0;
-        uint64_t logicalWrites = 0;
-        uint64_t physicalWrites = 0;
+        double accesses = 0;
+        double physicalTransfers = 0;
+        double maxStash = 0;
+        double logicalWrites = 0;
+        double physicalWrites = 0;
     };
     std::vector<SystemConfig> cfgs;
     for (const char *name : benchmarks) {
@@ -77,30 +77,22 @@ main()
         sweep(cfgs, [](System &sys, const RunOutcome &out) {
             Row row;
             row.out = out;
-            if (sys.oramDetailed()) {
-                row.accesses = sys.oramDetailed()->oram().accesses();
-                row.blocksTransferred =
-                    sys.oramDetailed()->blocksTransferred();
-                // Report the mid-access transient peak, not the
-                // post-eviction residue: the transient is what a
-                // hardware stash must physically hold.
-                row.maxStash =
-                    sys.oramDetailed()->oram().maxTransientStashSize();
-            }
-            if (sys.flatOramCtl()) {
-                row.accesses = sys.flatOramCtl()->oram().accesses();
-                row.blocksTransferred =
-                    sys.flatOramCtl()->blocksTransferred();
-            }
-            if (sys.writeOnlyOramCtl()) {
-                const WriteOnlyOram &wo =
-                    sys.writeOnlyOramCtl()->oram();
-                row.accesses = wo.accesses();
-                row.blocksTransferred =
-                    sys.writeOnlyOramCtl()->blocksTransferred();
-                row.logicalWrites = wo.logicalWrites();
-                row.physicalWrites = wo.physicalWrites();
-            }
+            const ProtectionMode mode = sys.config().mode;
+            if (mode == ProtectionMode::Unprotected
+                || mode == ProtectionMode::OramFixed)
+                return row;
+            // The phased ORAM models share the `oram` counters.
+            const statistics::Group &stats = sys.rootStats();
+            row.accesses = stats.scalarValue("oram.accesses");
+            row.physicalTransfers =
+                stats.scalarValue("oram.physicalTransfers");
+            row.logicalWrites = stats.scalarValue("oram.logicalWrites");
+            row.physicalWrites = stats.scalarValue("oram.physicalWrites");
+            // Report the mid-access transient peak, not the
+            // post-eviction residue: the transient is what a hardware
+            // stash must physically hold.
+            if (mode == ProtectionMode::OramDetailed)
+                row.maxStash = stats.scalarValue("oram.maxTransientStash");
             return row;
         });
 
@@ -115,16 +107,12 @@ main()
         const Row &wo = row[4];
 
         double blocks_per_access =
-            det.accesses ? static_cast<double>(det.blocksTransferred)
-                               / det.accesses
-                         : 0.0;
+            det.accesses ? det.physicalTransfers / det.accesses : 0.0;
         double wo_blocks_per_write =
-            wo.logicalWrites
-                ? static_cast<double>(wo.physicalWrites)
-                      / wo.logicalWrites
-                : 0.0;
+            wo.logicalWrites ? wo.physicalWrites / wo.logicalWrites
+                             : 0.0;
 
-        std::printf("%-10s %11.0f %13.0f %10.1f %9zu %9.1f %9.1f "
+        std::printf("%-10s %11.0f %13.0f %10.1f %9.0f %9.1f %9.1f "
                     "%8.1f\n",
                     name, overheadPct(fixed, base),
                     overheadPct(det.out.result.execTicks, base),

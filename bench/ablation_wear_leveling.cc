@@ -63,8 +63,10 @@ main()
         sweep(cfgs, [](System &sys, const RunOutcome &out) {
             Row row;
             row.out = out;
-            for (auto &pcm : sys.pcmControllers())
-                row.gapMoves += pcm->stats().scalarValue("gapMoves");
+            for (unsigned c = 0; c < sys.config().channels; ++c) {
+                row.gapMoves += sys.rootStats().scalarValue(
+                    "pcm" + std::to_string(c) + ".gapMoves");
+            }
             return row;
         });
 

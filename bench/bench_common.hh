@@ -108,21 +108,6 @@ sweepOutcomes(const std::vector<SystemConfig> &configs)
                  [](System &, const RunOutcome &out) { return out; });
 }
 
-/** Run one configuration to completion (serial, on this thread). */
-inline System::RunResult
-runConfig(const SystemConfig &cfg)
-{
-    System system(cfg);
-    return system.run();
-}
-
-inline System::RunResult
-run(ProtectionMode mode, const std::string &benchmark,
-    unsigned channels = 1)
-{
-    return runConfig(makeConfig(mode, benchmark, channels));
-}
-
 /** Percent overhead of `t` versus `base`. */
 inline double
 overheadPct(Tick t, Tick base)

@@ -74,10 +74,12 @@ main()
         sweep(cfgs, [](System &sys, const RunOutcome &out) {
             MeasuredRow row;
             row.result = out.result;
-            if (sys.oramFixed()) {
-                row.oramBlocksWritten =
-                    sys.oramFixed()->blocksWritten();
-                row.oramAccesses = sys.oramFixed()->accessCount();
+            if (sys.config().mode == ProtectionMode::OramFixed) {
+                const statistics::Group &stats = sys.rootStats();
+                row.oramBlocksWritten = static_cast<uint64_t>(
+                    stats.scalarValue("oram.pathBlocksWritten"));
+                row.oramAccesses = static_cast<uint64_t>(
+                    stats.scalarValue("oram.accesses"));
             }
             return row;
         });

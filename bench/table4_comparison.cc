@@ -99,14 +99,14 @@ main()
                            / cfg.capacityBytes;
 
     // --- Write amplification ----------------------------------------
-    // The scheme counters live on the System, so they are pulled by
-    // the sweep extractor while the worker still owns it.
+    // The scheme counters are stats of the System, so the sweep
+    // extractor reads them by name while the worker still owns it.
     struct AmpRow
     {
         System::RunResult result;
-        uint64_t blocksWritten = 0;
-        uint64_t accesses = 0;
-        uint64_t logicalWrites = 0;
+        double blocksWritten = 0;
+        double accesses = 0;
+        double logicalWrites = 0;
     };
     const std::vector<SystemConfig> amp_cfgs = {
         makeConfig(ProtectionMode::OramFixed, "milc"),
@@ -119,26 +119,26 @@ main()
         sweep(amp_cfgs, [](System &sys, const RunOutcome &out) {
             AmpRow row;
             row.result = out.result;
-            if (sys.oramFixed()) {
-                row.blocksWritten = sys.oramFixed()->blocksWritten();
-                row.accesses = sys.oramFixed()->accessCount();
-            }
-            if (sys.flatOramCtl()) {
-                const FlatOram &f = sys.flatOramCtl()->oram();
-                row.blocksWritten = f.physicalWrites();
-                row.logicalWrites = f.physicalWrites();
-            }
-            if (sys.writeOnlyOramCtl()) {
-                const WriteOnlyOram &w =
-                    sys.writeOnlyOramCtl()->oram();
-                row.blocksWritten = w.physicalWrites();
-                row.logicalWrites = w.logicalWrites();
+            const statistics::Group &stats = sys.rootStats();
+            switch (sys.config().mode) {
+              case ProtectionMode::OramFixed:
+                row.blocksWritten =
+                    stats.scalarValue("oram.pathBlocksWritten");
+                row.accesses = stats.scalarValue("oram.accesses");
+                break;
+              case ProtectionMode::FlatOram:
+              case ProtectionMode::WriteOnlyOram:
+                row.blocksWritten =
+                    stats.scalarValue("oram.physicalWrites");
+                row.logicalWrites =
+                    stats.scalarValue("oram.logicalWrites");
+                break;
+              default:
+                break;
             }
             return row;
         });
-    double oram_amp =
-        static_cast<double>(amp_rows[0].blocksWritten)
-        / amp_rows[0].accesses;
+    double oram_amp = amp_rows[0].blocksWritten / amp_rows[0].accesses;
     const System::RunResult &obfus_result = amp_rows[1].result;
     const System::RunResult &base_result = amp_rows[2].result;
     double obfus_amp =
@@ -149,13 +149,11 @@ main()
     // The write-only structures report exact per-logical-write costs.
     double flat_amp =
         amp_rows[3].logicalWrites > 0
-            ? static_cast<double>(amp_rows[3].blocksWritten)
-                  / amp_rows[3].logicalWrites
+            ? amp_rows[3].blocksWritten / amp_rows[3].logicalWrites
             : 1.0;
     double wo_amp =
         amp_rows[4].logicalWrites > 0
-            ? static_cast<double>(amp_rows[4].blocksWritten)
-                  / amp_rows[4].logicalWrites
+            ? amp_rows[4].blocksWritten / amp_rows[4].logicalWrites
             : 2.0;
 
     // --- Deadlock possibility ---------------------------------------

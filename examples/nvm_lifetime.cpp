@@ -92,12 +92,14 @@ main()
     cfg.instrPerCore = 60 * 1000;
     System oram(cfg);
     auto r = oram.run();
-    double oram_rate = oram.oramFixed()->blocksWritten()
+    const auto oram_writes = static_cast<uint64_t>(
+        oram.rootStats().scalarValue("oram.pathBlocksWritten"));
+    double oram_rate = oram_writes
                        / (static_cast<double>(r.execTicks)
                           / tickPerSec);
     std::cout << std::left << std::setw(26) << "path-oram (projected)"
-              << std::right << std::setw(12)
-              << oram.oramFixed()->blocksWritten() << std::setw(12)
+              << std::right << std::setw(12) << oram_writes
+              << std::setw(12)
               << "-" << std::fixed << std::setprecision(0)
               << std::setw(14) << oram_rate << std::setw(15)
               << std::setprecision(4) << (base_rate / oram_rate)

@@ -51,6 +51,10 @@ main(int argc, char **argv)
     cfg.mode = ProtectionMode::OramFixed;
     System oram(cfg);
     auto oram_result = oram.run();
+    const auto oram_writes = static_cast<uint64_t>(
+        oram.rootStats().scalarValue("oram.pathBlocksWritten"));
+    const auto oram_accesses = static_cast<uint64_t>(
+        oram.rootStats().scalarValue("oram.accesses"));
 
     auto pct = [&](Tick t) {
         return 100.0
@@ -79,13 +83,10 @@ main(int argc, char **argv)
     std::cout << std::left << std::setw(28) << "PCM cell writes"
               << std::right << std::setw(14) << base_result.cellWrites
               << std::setw(14) << obfus_result.cellWrites
-              << std::setw(14)
-              << (std::to_string(oram.oramFixed()->blocksWritten())
-                  + "*")
+              << std::setw(14) << (std::to_string(oram_writes) + "*")
               << "\n";
-    std::cout << "  (*) ORAM writes whole tree paths: "
-              << oram.oramFixed()->blocksWritten() << " block writes "
-              << "for " << oram.oramFixed()->accessCount()
+    std::cout << "  (*) ORAM writes whole tree paths: " << oram_writes
+              << " block writes for " << oram_accesses
               << " accesses.\n\n";
 
     double speedup = static_cast<double>(oram_result.execTicks)
@@ -111,13 +112,14 @@ main(int argc, char **argv)
                             / small.execTicks
                         - 1.0)
               << "% overhead,\n  "
-              << detailed.oramDetailed()->blocksTransferred()
+              << static_cast<uint64_t>(detailed.rootStats().scalarValue(
+                     "oram.physicalTransfers"))
               << " bucket-block transfers, max stash "
-              << detailed.oramDetailed()->oram().maxStashSize()
+              << static_cast<uint64_t>(
+                     detailed.rootStats().scalarValue("oram.maxStash"))
               << ", invariant "
-              << (detailed.oramDetailed()->oram().checkInvariant()
-                      ? "holds"
-                      : "VIOLATED")
+              << (detailed.backend().checkInvariant() ? "holds"
+                                                      : "VIOLATED")
               << ".\n";
     return 0;
 }

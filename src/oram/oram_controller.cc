@@ -63,16 +63,19 @@ OramPhasedController::OramPhasedController(const std::string &name,
                                            EventQueue &eq,
                                            statistics::Group *parent,
                                            MemSink &memory_,
-                                           uint64_t region_base,
-                                           Tick per_block_latency)
+                                           uint64_t region_base)
     : SimObject(name, eq, parent), memory(memory_),
-      regionBase(region_base), perBlockLatency(per_block_latency)
+      regionBase(region_base)
 {
     stats().addScalar("accesses", &accesses, "ORAM accesses");
     stats().addScalar("physicalTransfers", &physicalTransfers,
                       "blocks moved to/from memory");
     stats().addAverage("accessLatencyNs", &accessLatencyNs,
                        "end-to-end ORAM access latency");
+    stats().addScalar("logicalWrites", &logicalWrites,
+                      "write requests served");
+    stats().addScalar("physicalWrites", &physicalWrites,
+                      "blocks written to memory");
 }
 
 void
@@ -95,6 +98,8 @@ OramPhasedController::startNext()
     QueuedAccess req = std::move(queue.front());
     queue.pop_front();
     ++accesses;
+    if (!req.pkt.isRead())
+        ++logicalWrites;
     Tick started = curTick();
 
     // Functional access first: it yields the data and the physical
@@ -137,6 +142,7 @@ OramPhasedController::startNext()
         txn->pendingWrites = txn->plan.writeSlots.size();
         for (uint64_t slot : txn->plan.writeSlots) {
             ++physicalTransfers;
+            ++physicalWrites;
             MemPacket wr;
             wr.cmd = MemCmd::Write;
             wr.addr = slotAddr(slot);
@@ -175,23 +181,26 @@ OramPhasedController::startNext()
 
 OramDetailed::OramDetailed(const std::string &name, EventQueue &eq,
                            statistics::Group *parent,
-                           const Params &params_, MemSink &memory_)
-    : OramPhasedController(name, eq, parent, memory_,
-                           params_.treeBase,
-                           params_.perBlockLatency),
+                           const Params &params_, MemSink &memory_,
+                           uint64_t region_base)
+    : OramPhasedController(name, eq, parent, memory_, region_base),
       params(params_), tree(params_.oram)
 {
     stats().addAverage("stashOccupancy", &stashOccupancy,
                        "stash size after each access");
     stats().addAverage("stashPeakOccupancy", &stashPeakOccupancy,
                        "mid-access transient stash peak");
+    stats().addScalar("maxStash", &maxStash,
+                      "largest stash after eviction");
+    stats().addScalar("maxTransientStash", &maxTransientStash,
+                      "largest mid-access transient stash");
 }
 
 OramPhasedController::AccessPlan
 OramDetailed::planAccess(const MemPacket &pkt)
 {
     AccessPlan plan;
-    uint64_t block_id = pkt.addr / blockBytes;
+    uint64_t block_id = blockOf(pkt.addr);
     if (pkt.isRead()) {
         plan.result = tree.read(block_id);
     } else {
@@ -201,6 +210,9 @@ OramDetailed::planAccess(const MemPacket &pkt)
     stashOccupancy.sample(static_cast<double>(tree.stashSize()));
     stashPeakOccupancy.sample(
         static_cast<double>(tree.lastAccessPeakStash()));
+    maxStash.set(static_cast<double>(tree.maxStashSize()));
+    maxTransientStash.set(
+        static_cast<double>(tree.maxTransientStashSize()));
 
     // Every access reads the whole path and evicts onto it.
     const auto &slots = tree.lastPathSlots();
@@ -220,12 +232,11 @@ OramDetailed::planAccess(const MemPacket &pkt)
 FlatOramController::FlatOramController(const std::string &name,
                                        EventQueue &eq,
                                        statistics::Group *parent,
-                                       const Params &params_,
-                                       MemSink &memory_)
-    : OramPhasedController(name, eq, parent, memory_,
-                           params_.arrayBase,
-                           params_.perBlockLatency),
-      params(params_), flat(params_.oram)
+                                       const Params &params,
+                                       MemSink &memory_,
+                                       uint64_t region_base)
+    : OramPhasedController(name, eq, parent, memory_, region_base),
+      flat(params.oram)
 {
     stats().addAverage("writeProbes", &writeProbes,
                        "occupancy probes per write");
@@ -235,10 +246,7 @@ OramPhasedController::AccessPlan
 FlatOramController::planAccess(const MemPacket &pkt)
 {
     AccessPlan plan;
-    // The flat array serves a bounded block space; alias the physical
-    // address into it, like a set of ORAM-backed ways would.
-    uint64_t block_id =
-        (pkt.addr / blockBytes) % flat.capacityBlocks();
+    uint64_t block_id = blockOf(pkt.addr);
     if (pkt.isRead()) {
         plan.result = flat.read(block_id);
         plan.readSlots = flat.lastReadSlots();
@@ -258,12 +266,10 @@ FlatOramController::planAccess(const MemPacket &pkt)
 
 WriteOnlyOramController::WriteOnlyOramController(
         const std::string &name, EventQueue &eq,
-        statistics::Group *parent, const Params &params_,
-        MemSink &memory_)
-    : OramPhasedController(name, eq, parent, memory_,
-                           params_.areaBase,
-                           params_.perBlockLatency),
-      params(params_), wo(params_.oram)
+        statistics::Group *parent, const Params &params,
+        MemSink &memory_, uint64_t region_base)
+    : OramPhasedController(name, eq, parent, memory_, region_base),
+      wo(params.oram)
 {
     stats().addAverage("holdingOccupancy", &holdingOccupancy,
                        "blocks whose freshest copy is in holding");
@@ -273,8 +279,7 @@ OramPhasedController::AccessPlan
 WriteOnlyOramController::planAccess(const MemPacket &pkt)
 {
     AccessPlan plan;
-    uint64_t block_id =
-        (pkt.addr / blockBytes) % wo.capacityBlocks();
+    uint64_t block_id = blockOf(pkt.addr);
     if (pkt.isRead()) {
         plan.result = wo.read(block_id);
         plan.readSlots = wo.lastReadSlots();

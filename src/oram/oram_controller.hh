@@ -73,21 +73,6 @@ class OramFixedLatency : public SimObject, public MemSink
                * params.bucketSize;
     }
 
-    uint64_t blocksRead() const
-    {
-        return static_cast<uint64_t>(pathBlocksRead.value());
-    }
-
-    uint64_t blocksWritten() const
-    {
-        return static_cast<uint64_t>(pathBlocksWritten.value());
-    }
-
-    uint64_t accessCount() const
-    {
-        return static_cast<uint64_t>(accesses.value());
-    }
-
   private:
     Params params;
     BackingStore &store;
@@ -108,21 +93,18 @@ class OramFixedLatency : public SimObject, public MemSink
  * then completes the request after perBlockLatency of on-chip
  * processing - the same two-phase shape for every model, so their
  * wire traces differ only in what the functional structures demand.
+ *
+ * Each subclass also exposes its functional structure as oram() and
+ * its address-to-block mapping as blockOf(); the ORAM backend
+ * (system/oblivious_backend.cc) drives every model through those.
  */
 class OramPhasedController : public SimObject, public MemSink
 {
   public:
+    /** On-chip processing per access (decrypt, stash/PosMap logic). */
+    static constexpr Tick perBlockLatency = 2 * tickPerNs;
+
     void access(MemPacket pkt, PacketCallback cb) override;
-
-    uint64_t blocksTransferred() const
-    {
-        return static_cast<uint64_t>(physicalTransfers.value());
-    }
-
-    uint64_t accessCount() const
-    {
-        return static_cast<uint64_t>(accesses.value());
-    }
 
   protected:
     /** The physical-transfer plan of one functional access. */
@@ -136,9 +118,13 @@ class OramPhasedController : public SimObject, public MemSink
         std::vector<uint64_t> writeSlots;
     };
 
+    /**
+     * @param region_base Physical base address of the model's slots
+     *        in the memory below.
+     */
     OramPhasedController(const std::string &name, EventQueue &eq,
                          statistics::Group *parent, MemSink &memory,
-                         uint64_t regionBase, Tick perBlockLatency);
+                         uint64_t region_base);
 
     /**
      * Perform the functional access for @p pkt and return the plan.
@@ -163,7 +149,6 @@ class OramPhasedController : public SimObject, public MemSink
 
     MemSink &memory;
     uint64_t regionBase;
-    Tick perBlockLatency;
 
     std::deque<QueuedAccess> queue;
     bool busy = false;
@@ -171,6 +156,8 @@ class OramPhasedController : public SimObject, public MemSink
     statistics::Scalar accesses;
     statistics::Scalar physicalTransfers;
     statistics::Average accessLatencyNs;
+    statistics::Scalar logicalWrites;
+    statistics::Scalar physicalWrites;
 };
 
 /**
@@ -183,15 +170,14 @@ class OramDetailed : public OramPhasedController
     struct Params
     {
         PathOram::Params oram{};
-        /** Physical base address of the tree in memory. */
-        uint64_t treeBase = 0;
-        /** On-chip processing per block (decrypt/stash logic). */
-        Tick perBlockLatency = 2 * tickPerNs;
     };
 
     OramDetailed(const std::string &name, EventQueue &eq,
                  statistics::Group *parent, const Params &params,
-                 MemSink &memory);
+                 MemSink &memory, uint64_t region_base);
+
+    /** Logical block that @p addr names: one tree block per line. */
+    uint64_t blockOf(uint64_t addr) const { return addr / blockBytes; }
 
     PathOram &oram() { return tree; }
     const PathOram &oram() const { return tree; }
@@ -205,6 +191,8 @@ class OramDetailed : public OramPhasedController
 
     statistics::Average stashOccupancy;
     statistics::Average stashPeakOccupancy;
+    statistics::Scalar maxStash;
+    statistics::Scalar maxTransientStash;
 };
 
 /**
@@ -217,15 +205,21 @@ class FlatOramController : public OramPhasedController
     struct Params
     {
         FlatOram::Params oram{};
-        /** Physical base address of the slot array in memory. */
-        uint64_t arrayBase = 0;
-        /** On-chip processing per block (decrypt/PosMap logic). */
-        Tick perBlockLatency = 2 * tickPerNs;
     };
 
     FlatOramController(const std::string &name, EventQueue &eq,
-                       statistics::Group *parent,
-                       const Params &params, MemSink &memory);
+                       statistics::Group *parent, const Params &params,
+                       MemSink &memory, uint64_t region_base);
+
+    /**
+     * Logical block that @p addr names. The flat array serves a
+     * bounded block space; addresses alias into it, like a set of
+     * ORAM-backed ways would.
+     */
+    uint64_t blockOf(uint64_t addr) const
+    {
+        return (addr / blockBytes) % flat.capacityBlocks();
+    }
 
     FlatOram &oram() { return flat; }
     const FlatOram &oram() const { return flat; }
@@ -234,7 +228,6 @@ class FlatOramController : public OramPhasedController
     AccessPlan planAccess(const MemPacket &pkt) override;
 
   private:
-    Params params;
     FlatOram flat;
 
     statistics::Average writeProbes;
@@ -251,15 +244,18 @@ class WriteOnlyOramController : public OramPhasedController
     struct Params
     {
         WriteOnlyOram::Params oram{};
-        /** Physical base address of the main+holding areas. */
-        uint64_t areaBase = 0;
-        /** On-chip processing per block. */
-        Tick perBlockLatency = 2 * tickPerNs;
     };
 
     WriteOnlyOramController(const std::string &name, EventQueue &eq,
                             statistics::Group *parent,
-                            const Params &params, MemSink &memory);
+                            const Params &params, MemSink &memory,
+                            uint64_t region_base);
+
+    /** Logical block that @p addr names, aliased like Flat ORAM's. */
+    uint64_t blockOf(uint64_t addr) const
+    {
+        return (addr / blockBytes) % wo.capacityBlocks();
+    }
 
     WriteOnlyOram &oram() { return wo; }
     const WriteOnlyOram &oram() const { return wo; }
@@ -268,7 +264,6 @@ class WriteOnlyOramController : public OramPhasedController
     AccessPlan planAccess(const MemPacket &pkt) override;
 
   private:
-    Params params;
     WriteOnlyOram wo;
 
     statistics::Average holdingOccupancy;

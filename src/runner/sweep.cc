@@ -19,14 +19,5 @@ jobsFromEnv()
     return jobs;
 }
 
-std::vector<System::RunResult>
-runSweep(const std::vector<SystemConfig> &configs, unsigned jobs)
-{
-    return parallelIndexMap(configs.size(), jobs, [&](size_t i) {
-        System sys(configs[i]);
-        return sys.run();
-    });
-}
-
 } // namespace runner
 } // namespace obfusmem

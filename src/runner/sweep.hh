@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "runner/thread_pool.hh"
-#include "system/system.hh"
 
 namespace obfusmem {
 namespace runner {
@@ -62,20 +61,6 @@ parallelIndexMap(size_t n, unsigned jobs, Fn &&fn)
         pool.submit([&fn, &results, i] { results[i] = fn(i); });
     pool.wait();
     return results;
-}
-
-/**
- * Build, run and tear down one System per config, @p jobs at a time,
- * and return the RunResults in config order.
- */
-std::vector<System::RunResult>
-runSweep(const std::vector<SystemConfig> &configs, unsigned jobs);
-
-/** runSweep() with the job count from OBFUSMEM_BENCH_JOBS. */
-inline std::vector<System::RunResult>
-runSweep(const std::vector<SystemConfig> &configs)
-{
-    return runSweep(configs, jobsFromEnv());
 }
 
 } // namespace runner

@@ -184,121 +184,61 @@ class OramFixedBackend : public ObliviousBackend
     }
 
     MemSink &sink() override { return *ctl; }
-    OramFixedLatency *oramFixed() override { return ctl.get(); }
 
   private:
     std::unique_ptr<OramFixedLatency> ctl;
 };
 
 // ---------------------------------------------------------------------
-// OramDetailed
+// OramDetailed / FlatOram / WriteOnlyOram
 // ---------------------------------------------------------------------
 
-class OramDetailedBackend : public ObliviousBackend
+/**
+ * One phased ORAM controller over a plain path to the buses and PCM,
+ * its slots placed at SystemConfig::oramTreeBase(). The controller's
+ * functional structure is the scheme's whole state: it resolves
+ * functional reads, holds the invariants and is what a checkpoint
+ * carries.
+ */
+template <class Controller>
+class PhasedOramBackend : public ObliviousBackend
 {
   public:
-    explicit OramDetailedBackend(const BackendContext &ctx)
-        : ObliviousBackend(ProtectionMode::OramDetailed),
-          plainPath(makePlainPath(ctx))
-    {
-        OramDetailed::Params op = ctx.cfg.oramDetailed;
-        if (op.treeBase == 0)
-            op.treeBase = ctx.cfg.oramTreeBase();
-        ctl = std::make_unique<OramDetailed>("system.oram", ctx.eq,
-                                             &ctx.root, op,
-                                             *plainPath);
-    }
+    PhasedOramBackend(const BackendContext &ctx, ProtectionMode mode,
+                      const typename Controller::Params &params)
+        : ObliviousBackend(mode), plainPath(makePlainPath(ctx)),
+          ctl("system.oram", ctx.eq, &ctx.root, params, *plainPath,
+              ctx.cfg.oramTreeBase())
+    {}
 
-    MemSink &sink() override { return *ctl; }
-    OramDetailed *oramDetailed() override { return ctl.get(); }
+    MemSink &sink() override { return ctl; }
 
     std::optional<DataBlock> functionalRead(uint64_t addr) override
     {
-        // Test-only: the functional tree is authoritative.
-        return ctl->oram().read(addr / blockBytes);
+        // Test-only: the functional structure is authoritative.
+        return ctl.oram().read(ctl.blockOf(addr));
     }
 
-    void serialize(std::ostream &os) const override;
-    bool deserialize(std::istream &is) override;
+    bool checkInvariant() const override
+    {
+        return ctl.oram().checkInvariant();
+    }
+
+    void serialize(std::ostream &os) const override
+    {
+        ObliviousBackend::serialize(os);
+        ctl.oram().serialize(os);
+    }
+
+    bool deserialize(std::istream &is) override
+    {
+        return ObliviousBackend::deserialize(is)
+               && ctl.oram().deserialize(is);
+    }
 
   private:
     std::unique_ptr<PlainPath> plainPath;
-    std::unique_ptr<OramDetailed> ctl;
-};
-
-// ---------------------------------------------------------------------
-// FlatOram
-// ---------------------------------------------------------------------
-
-class FlatOramBackend : public ObliviousBackend
-{
-  public:
-    explicit FlatOramBackend(const BackendContext &ctx)
-        : ObliviousBackend(ProtectionMode::FlatOram),
-          plainPath(makePlainPath(ctx))
-    {
-        FlatOramController::Params fp = ctx.cfg.flatOram;
-        if (fp.arrayBase == 0)
-            fp.arrayBase = ctx.cfg.oramTreeBase();
-        ctl = std::make_unique<FlatOramController>(
-            "system.oram", ctx.eq, &ctx.root, fp, *plainPath);
-    }
-
-    MemSink &sink() override { return *ctl; }
-    FlatOramController *flatOram() override { return ctl.get(); }
-
-    std::optional<DataBlock> functionalRead(uint64_t addr) override
-    {
-        uint64_t block =
-            (addr / blockBytes) % ctl->oram().capacityBlocks();
-        return ctl->oram().read(block);
-    }
-
-    void serialize(std::ostream &os) const override;
-    bool deserialize(std::istream &is) override;
-
-  private:
-    std::unique_ptr<PlainPath> plainPath;
-    std::unique_ptr<FlatOramController> ctl;
-};
-
-// ---------------------------------------------------------------------
-// WriteOnlyOram
-// ---------------------------------------------------------------------
-
-class WriteOnlyOramBackend : public ObliviousBackend
-{
-  public:
-    explicit WriteOnlyOramBackend(const BackendContext &ctx)
-        : ObliviousBackend(ProtectionMode::WriteOnlyOram),
-          plainPath(makePlainPath(ctx))
-    {
-        WriteOnlyOramController::Params wp = ctx.cfg.writeOnlyOram;
-        if (wp.areaBase == 0)
-            wp.areaBase = ctx.cfg.oramTreeBase();
-        ctl = std::make_unique<WriteOnlyOramController>(
-            "system.oram", ctx.eq, &ctx.root, wp, *plainPath);
-    }
-
-    MemSink &sink() override { return *ctl; }
-    WriteOnlyOramController *writeOnlyOram() override
-    {
-        return ctl.get();
-    }
-
-    std::optional<DataBlock> functionalRead(uint64_t addr) override
-    {
-        uint64_t block =
-            (addr / blockBytes) % ctl->oram().capacityBlocks();
-        return ctl->oram().read(block);
-    }
-
-    void serialize(std::ostream &os) const override;
-    bool deserialize(std::istream &is) override;
-
-  private:
-    std::unique_ptr<PlainPath> plainPath;
-    std::unique_ptr<WriteOnlyOramController> ctl;
+    Controller ctl;
 };
 
 // ---------------------------------------------------------------------
@@ -317,6 +257,15 @@ std::unique_ptr<ObliviousBackend>
 make(const BackendContext &ctx)
 {
     return std::make_unique<Backend>(ctx);
+}
+
+template <class Controller, ProtectionMode Mode,
+          typename Controller::Params SystemConfig::*Field>
+std::unique_ptr<ObliviousBackend>
+makeOram(const BackendContext &ctx)
+{
+    return std::make_unique<PhasedOramBackend<Controller>>(
+        ctx, Mode, ctx.cfg.*Field);
 }
 
 } // namespace
@@ -339,48 +288,6 @@ ObliviousBackend::deserialize(std::istream &is)
            && serial::expectU64(is, static_cast<uint64_t>(mode));
 }
 
-void
-OramDetailedBackend::serialize(std::ostream &os) const
-{
-    ObliviousBackend::serialize(os);
-    ctl->oram().serialize(os);
-}
-
-bool
-OramDetailedBackend::deserialize(std::istream &is)
-{
-    return ObliviousBackend::deserialize(is)
-           && ctl->oram().deserialize(is);
-}
-
-void
-FlatOramBackend::serialize(std::ostream &os) const
-{
-    ObliviousBackend::serialize(os);
-    ctl->oram().serialize(os);
-}
-
-bool
-FlatOramBackend::deserialize(std::istream &is)
-{
-    return ObliviousBackend::deserialize(is)
-           && ctl->oram().deserialize(is);
-}
-
-void
-WriteOnlyOramBackend::serialize(std::ostream &os) const
-{
-    ObliviousBackend::serialize(os);
-    ctl->oram().serialize(os);
-}
-
-bool
-WriteOnlyOramBackend::deserialize(std::istream &is)
-{
-    return ObliviousBackend::deserialize(is)
-           && ctl->oram().deserialize(is);
-}
-
 // ---------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------
@@ -401,11 +308,15 @@ allBackendInfos()
         {ProtectionMode::OramFixed, "oram-fixed", false, false,
          make<OramFixedBackend>},
         {ProtectionMode::OramDetailed, "oram-detailed", true, false,
-         make<OramDetailedBackend>},
+         makeOram<OramDetailed, ProtectionMode::OramDetailed,
+                  &SystemConfig::oramDetailed>},
         {ProtectionMode::FlatOram, "flat-oram", true, false,
-         make<FlatOramBackend>},
+         makeOram<FlatOramController, ProtectionMode::FlatOram,
+                  &SystemConfig::flatOram>},
         {ProtectionMode::WriteOnlyOram, "wo-oram", true, false,
-         make<WriteOnlyOramBackend>},
+         makeOram<WriteOnlyOramController,
+                  ProtectionMode::WriteOnlyOram,
+                  &SystemConfig::writeOnlyOram>},
     };
     return infos;
 }

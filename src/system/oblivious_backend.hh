@@ -6,8 +6,9 @@
  * encrypted paths, ObfusMem itself, and the ORAM-family competitors -
  * is one implementation of ObliviousBackend: a factory-constructed
  * bundle owning the scheme's components that exposes the MemSink the
- * cache hierarchy talks to, a functional-read hook for verification,
- * and checkpoint/restore of the scheme's functional state.
+ * cache hierarchy talks to, a functional-read hook and an invariant
+ * check for verification, and checkpoint/restore of the scheme's
+ * functional state.
  *
  * The registry (ObliviousBackendInfo) is a function table in the
  * obfuscator-vtable style: one static row per ProtectionMode carrying
@@ -90,17 +91,21 @@ class ObliviousBackend
     /** Restore from serialize() output; false on format mismatch. */
     virtual bool deserialize(std::istream &is);
 
-    // --- Typed component access (null when the scheme lacks it) ------
+    /**
+     * Structural invariants of the scheme's functional state (an
+     * ORAM's position map, stash and slots agree); true for schemes
+     * that keep none.
+     */
+    virtual bool checkInvariant() const { return true; }
+
+    // --- Endpoint test hooks (null without ObfusMem endpoints) -------
+    // Counters are stats, read by name from System::rootStats().
 
     virtual ObfusMemProcSide *procSide() { return nullptr; }
     virtual std::vector<std::unique_ptr<ObfusMemMemSide>> *memSides()
     {
         return nullptr;
     }
-    virtual OramFixedLatency *oramFixed() { return nullptr; }
-    virtual OramDetailed *oramDetailed() { return nullptr; }
-    virtual FlatOramController *flatOram() { return nullptr; }
-    virtual WriteOnlyOramController *writeOnlyOram() { return nullptr; }
 
   protected:
     explicit ObliviousBackend(ProtectionMode mode_) : mode(mode_) {}

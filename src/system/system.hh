@@ -96,7 +96,6 @@ class System
     // --- Component access (tests, benches, examples) -----------------
 
     EventQueue &eventQueue() { return eq; }
-    PacketPool &packetPool() { return pktPool; }
     /**
      * The configured protection path's entry point (what the LLC
      * talks to). External drivers — the multi-tenant topology's
@@ -107,13 +106,11 @@ class System
     statistics::Group &rootStats() { return root; }
     CacheHierarchy &hierarchy() { return *caches; }
     BackingStore &backingStore() { return *store; }
-    const AddressMap &addressMap() const { return *map; }
     /**
      * The attacker's probe on the buses (null when neither
      * attachObserver nor attachAuditor is set, or without buses).
      */
     check::TraceAuditor *auditor() { return traceAuditor.get(); }
-    FaultInjector *faults() { return faultInjector.get(); }
     /** The assembled protection path (never null). */
     ObliviousBackend &backend() { return *protBackend; }
     ObfusMemProcSide *procSide() { return protBackend->procSide(); }
@@ -130,27 +127,7 @@ class System
     {
         return buses;
     }
-    OramFixedLatency *oramFixed() { return protBackend->oramFixed(); }
-    OramDetailed *oramDetailed()
-    {
-        return protBackend->oramDetailed();
-    }
-    FlatOramController *flatOramCtl()
-    {
-        return protBackend->flatOram();
-    }
-    WriteOnlyOramController *writeOnlyOramCtl()
-    {
-        return protBackend->writeOnlyOram();
-    }
-    TraceCore &core(unsigned i) { return *cores[i]; }
     const SystemConfig &config() const { return cfg; }
-
-    /** The session keys in use (for tamper tests). */
-    const std::vector<crypto::Aes128::Key> &sessionKeys() const
-    {
-        return channelKeys;
-    }
 
     /** Dump all statistics to a stream. */
     void dumpStats(std::ostream &os) const { root.dump(os); }

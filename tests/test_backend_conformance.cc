@@ -119,15 +119,7 @@ traceOfFixedSequence(SystemConfig cfg)
 void
 checkStructuralInvariants(System &sys)
 {
-    if (auto *detailed = sys.oramDetailed()) {
-        EXPECT_TRUE(detailed->oram().checkInvariant());
-    }
-    if (auto *flat = sys.flatOramCtl()) {
-        EXPECT_TRUE(flat->oram().checkInvariant());
-    }
-    if (auto *wo = sys.writeOnlyOramCtl()) {
-        EXPECT_TRUE(wo->oram().checkInvariant());
-    }
+    EXPECT_TRUE(sys.backend().checkInvariant());
     // The attacker's probe watches every bused backend; only an
     // obfuscated wire owes it a clean trace.
     if (backendInfo(sys.config().mode).obfuscatedWire) {
@@ -213,9 +205,9 @@ TEST_P(BackendConformance, SerializeRestoreRoundTrip)
     // (possibly encrypted in place), outside this interface: they
     // restore only their format tag, and checkpointing them means
     // checkpointing the substrate, not the backend.
-    const bool self_contained =
-        a.oramDetailed() || a.flatOramCtl() || a.writeOnlyOramCtl();
-    if (self_contained) {
+    if (cfg.mode == ProtectionMode::OramDetailed
+        || cfg.mode == ProtectionMode::FlatOram
+        || cfg.mode == ProtectionMode::WriteOnlyOram) {
         for (const auto &[addr, data] : reference) {
             auto restored = b.backend().functionalRead(addr);
             ASSERT_TRUE(restored.has_value());

@@ -363,11 +363,13 @@ TEST(OramFixedLatency, AccountsPathTraffic)
         oram.access(std::move(pkt), [](MemPacket &&) {});
     }
     eq.run();
-    EXPECT_EQ(oram.accessCount(), 5u);
+    EXPECT_EQ(stats.scalarValue("oram.accesses"), 5);
     // 100 blocks read + 100 written per access, reads and writes
     // alike (the source of ORAM's ~100x write amplification).
-    EXPECT_EQ(oram.blocksRead(), 5 * oram.pathBlocks());
-    EXPECT_EQ(oram.blocksWritten(), 5 * oram.pathBlocks());
+    EXPECT_EQ(stats.scalarValue("oram.pathBlocksRead"),
+              5 * oram.pathBlocks());
+    EXPECT_EQ(stats.scalarValue("oram.pathBlocksWritten"),
+              5 * oram.pathBlocks());
 }
 
 TEST(OramFixedLatency, FunctionalReadWrite)
@@ -407,14 +409,18 @@ TEST(OramDetailed, DrivesRealMemoryTraffic)
     auto result = sys.run();
     EXPECT_GT(result.instructions, 0u);
 
-    OramDetailed *oram = sys.oramDetailed();
-    ASSERT_NE(oram, nullptr);
-    uint64_t accesses = oram->oram().accesses();
-    EXPECT_GT(accesses, 0u);
-    // Every access moves a full path down and back.
-    EXPECT_EQ(oram->blocksTransferred(),
-              2 * accesses * oram->oram().pathBlocks());
-    EXPECT_TRUE(oram->oram().checkInvariant());
+    const statistics::Group &stats = sys.rootStats();
+    const double accesses = stats.scalarValue("oram.accesses");
+    EXPECT_GT(accesses, 0);
+    // Every access moves a full path down and back: (L+1)*Z blocks
+    // each way.
+    const PathOram::Params &tree = cfg.oramDetailed.oram;
+    const double path_blocks = (tree.levels + 1) * tree.bucketSize;
+    EXPECT_EQ(stats.scalarValue("oram.physicalTransfers"),
+              2 * accesses * path_blocks);
+    EXPECT_EQ(stats.scalarValue("oram.physicalWrites"),
+              accesses * path_blocks);
+    EXPECT_TRUE(sys.backend().checkInvariant());
 }
 
 TEST(OramDetailed, MuchSlowerThanObfusMem)

@@ -122,6 +122,19 @@ smallSweepConfigs()
     return cfgs;
 }
 
+/**
+ * Build, run and tear down one System per config on @p jobs workers,
+ * the way bench::sweep drives the runner.
+ */
+std::vector<System::RunResult>
+runSystems(const std::vector<SystemConfig> &cfgs, unsigned jobs)
+{
+    return parallelIndexMap(cfgs.size(), jobs, [&cfgs](size_t i) {
+        System sys(cfgs[i]);
+        return sys.run();
+    });
+}
+
 /** Field-by-field equality: RunResult has no operator==. */
 void
 expectIdentical(const System::RunResult &a, const System::RunResult &b)
@@ -144,8 +157,8 @@ TEST(RunSweep, ParallelIsBitIdenticalToSerial)
     // The tentpole invariant: OBFUSMEM_BENCH_JOBS changes wall-clock
     // time only, never simulated results.
     const auto cfgs = smallSweepConfigs();
-    const auto serial = runSweep(cfgs, 1);
-    const auto parallel = runSweep(cfgs, 4);
+    const auto serial = runSystems(cfgs, 1);
+    const auto parallel = runSystems(cfgs, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)
         expectIdentical(serial[i], parallel[i]);
@@ -155,8 +168,8 @@ TEST(RunSweep, RepeatedParallelRunsAgree)
 {
     // No hidden dependence on thread scheduling between runs either.
     const auto cfgs = smallSweepConfigs();
-    const auto first = runSweep(cfgs, 3);
-    const auto second = runSweep(cfgs, 3);
+    const auto first = runSystems(cfgs, 3);
+    const auto second = runSystems(cfgs, 3);
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i)
         expectIdentical(first[i], second[i]);

@@ -143,9 +143,9 @@ TEST(SystemInvariants, OramWriteAmplificationObfusMemNone)
     EXPECT_LT(obfus_result.cellWrites,
               base_result.cellWrites * 1.15 + 200);
     // ORAM (fixed model): ~100 blocks written per access.
-    uint64_t oram_writes = oram.oramFixed()->blocksWritten();
-    uint64_t accesses = oram.oramFixed()->accessCount();
-    EXPECT_EQ(oram_writes, accesses * 100);
+    const statistics::Group &stats = oram.rootStats();
+    EXPECT_EQ(stats.scalarValue("oram.pathBlocksWritten"),
+              stats.scalarValue("oram.accesses") * 100);
 }
 
 TEST(SystemInvariants, CapacityOverheadComparison)

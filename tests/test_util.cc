@@ -232,6 +232,21 @@ TEST(Stats, GroupHierarchyAndDump)
     EXPECT_EQ(child.scalarValue("counter"), 42.0);
 }
 
+TEST(StatsDeathTest, ScalarValuePanicsOnAMisspelledName)
+{
+    // Benches and tests read counters by name: a typo must fail
+    // loudly, never read as 0.
+    statistics::Group root("root", nullptr);
+    statistics::Group child("child", &root);
+    statistics::Scalar s;
+    child.addScalar("counter", &s);
+    EXPECT_EQ(root.scalarValue("child.counter"), 0.0);
+    EXPECT_DEATH(root.scalarValue("child.countr"),
+                 "no scalar stat named countr in group root.child");
+    EXPECT_DEATH(root.scalarValue("chld.counter"),
+                 "no child group named chld in group root");
+}
+
 TEST(Stats, HistogramIgnoresNonFiniteForMinMaxAndMean)
 {
     statistics::Histogram h(0, 10, 10);

@@ -387,7 +387,8 @@ TEST(FlatOramController, TransferCountsMatchTheModel)
     ImmediateSink sink;
     FlatOramController::Params params;
     params.oram.capacityBlocks = 256;
-    FlatOramController ctl("flat", eq, &stats, params, sink);
+    FlatOramController ctl("flat", eq, &stats, params, sink,
+                           /*region_base=*/0);
 
     DataBlock d = patternBlock(0x55);
     MemPacket wr;
@@ -410,7 +411,9 @@ TEST(FlatOramController, TransferCountsMatchTheModel)
     EXPECT_EQ(out, d);
     // A read is exactly one substrate read.
     EXPECT_EQ(sink.reads, 1u);
-    EXPECT_EQ(ctl.blocksTransferred(), 2u);
+    EXPECT_EQ(stats.scalarValue("flat.physicalTransfers"), 2);
+    EXPECT_EQ(stats.scalarValue("flat.logicalWrites"), 1);
+    EXPECT_EQ(stats.scalarValue("flat.physicalWrites"), 1);
 }
 
 TEST(WriteOnlyOramController, TransferCountsMatchTheModel)
@@ -420,7 +423,8 @@ TEST(WriteOnlyOramController, TransferCountsMatchTheModel)
     ImmediateSink sink;
     WriteOnlyOramController::Params params;
     params.oram.capacityBlocks = 256;
-    WriteOnlyOramController ctl("wo", eq, &stats, params, sink);
+    WriteOnlyOramController ctl("wo", eq, &stats, params, sink,
+                                /*region_base=*/0);
 
     DataBlock d = patternBlock(0x66);
     MemPacket wr;
@@ -442,7 +446,9 @@ TEST(WriteOnlyOramController, TransferCountsMatchTheModel)
     eq.run();
     EXPECT_EQ(out, d);
     EXPECT_EQ(sink.reads, 1u);
-    EXPECT_EQ(ctl.blocksTransferred(), 3u);
+    EXPECT_EQ(stats.scalarValue("wo.physicalTransfers"), 3);
+    EXPECT_EQ(stats.scalarValue("wo.logicalWrites"), 1);
+    EXPECT_EQ(stats.scalarValue("wo.physicalWrites"), 2);
 }
 
 TEST(WriteOnlyOramController, AliasesAddressesIntoTheBlockSpace)
@@ -452,7 +458,8 @@ TEST(WriteOnlyOramController, AliasesAddressesIntoTheBlockSpace)
     ImmediateSink sink;
     WriteOnlyOramController::Params params;
     params.oram.capacityBlocks = 64;
-    WriteOnlyOramController ctl("wo", eq, &stats, params, sink);
+    WriteOnlyOramController ctl("wo", eq, &stats, params, sink,
+                                /*region_base=*/0);
 
     DataBlock d = patternBlock(0x77);
     MemPacket wr;
