@@ -101,9 +101,6 @@ class OramFixedLatency : public SimObject, public MemSink
 class OramPhasedController : public SimObject, public MemSink
 {
   public:
-    /** On-chip processing per access (decrypt, stash/PosMap logic). */
-    static constexpr Tick perBlockLatency = 2 * tickPerNs;
-
     void access(MemPacket pkt, PacketCallback cb) override;
 
   protected:
@@ -146,6 +143,9 @@ class OramPhasedController : public SimObject, public MemSink
     };
 
     void startNext();
+
+    /** On-chip processing per access (decrypt, stash/PosMap logic). */
+    static constexpr Tick perBlockLatency = 2 * tickPerNs;
 
     MemSink &memory;
     uint64_t regionBase;
